@@ -43,9 +43,10 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
 
 def cmd_count(args, cfg: RunConfig) -> tuple[int, str]:
     spec = counting.RowSumSpec(args.n, _parse_ints(args.t))
-    value = counting.count_row_sums(spec, state_cap=cfg.state_cap)
     if args.total:
         value = counting.count_total(args.n, spec.x)
+    else:
+        value = counting.count_row_sums(spec, state_cap=cfg.state_cap)
     if cfg.output_format == "text":
         return 0, str(value)
     return 0, _emit({"n": args.n, "t": args.t, "count": str(value)}, cfg.output_format)
@@ -262,6 +263,10 @@ def main(argv=None) -> int:
     cfg = load_config(args.config).override(
         seed=args.seed, mc_samples=args.samples, output_format=args.format
     )
+    if cfg.mc_samples < 1:
+        print(f"error: sample count (--samples, mc_samples) must be >= 1, got {cfg.mc_samples}",
+              file=sys.stderr)
+        return 2
     try:
         code, text = COMMANDS[args.command](args, cfg)
     except (ValueError, ArithmeticError, counting.InstanceTooLarge) as exc:

@@ -184,6 +184,25 @@ def eigen_integrand(ctx: EigenIntegrand, lam) -> float:
     return num * det * gauss / (denom * de)
 
 
+def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
+    """N = 2 partition function by 2-D adaptive quadrature, as (value, abserr).
+
+    A deterministic oracle for the samplers: Z = -(pi/2) times the integral
+    of eigen_integrand over R^2, the eigenvalue-reduction prefactor and
+    sign at N = 2.  abserr is quad's own error estimate, scaled alike.
+    """
+    from scipy.integrate import dblquad
+
+    if spec.n != 2:
+        raise ValueError("quadrature oracle implemented for N = 2")
+    ctx = EigenIntegrand(spec)
+    val, err = dblquad(
+        lambda y, x: eigen_integrand(ctx, (x, y)),
+        -np.inf, np.inf, -np.inf, np.inf, epsrel=1e-6,
+    )
+    return -0.5 * math.pi * val, 0.5 * math.pi * err
+
+
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
     """Importance-sampled MC of the eigenvalue-reduced partition function.
 
@@ -237,18 +256,48 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
     return pref * mean, abs(math.exp(ln_pref)) * math.sqrt(var / samples)
 
 
+def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Tr X^4 per sample for the Hermitian X with these real components.
+
+    X = A + iB with A real symmetric (diag on the diagonal, re off it) and
+    B real antisymmetric (im above the diagonal).  X^2 = P + iQ with
+    P = A^2 - B^2 symmetric and Q = AB + BA antisymmetric, so
+    Tr X^4 = ||P||_F^2 + ||Q||_F^2, summed here over the upper triangle.
+    """
+    a = {(i, i): diag[:, i] for i in range(n)}
+    b = {}
+    for idx, (k, l) in enumerate(combinations(range(n), 2)):
+        a[k, l] = a[l, k] = re[:, idx]
+        b[k, l] = im[:, idx]
+        b[l, k] = -im[:, idx]
+    tr = np.zeros(diag.shape[0])
+    for i in range(n):
+        for j in range(i, n):
+            p = sum(a[i, k] * a[k, j] for k in range(n))
+            p = p - sum(b[i, k] * b[k, j] for k in range(n) if k != i and k != j)
+            q = sum(a[i, k] * b[k, j] for k in range(n) if k != j)
+            q = q + sum(b[i, k] * a[k, j] for k in range(n) if k != i)
+            tr += (1.0 if i == j else 2.0) * (p * p + q * q)
+    return tr
+
+
 def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
     """MC over Hermitian matrices with the exact g=0 Gaussian as proposal.
 
     The quadratic form is diagonal in the matrix components, so the
     proposal is exact at g = 0 and the estimator is z_free * mean
-    exp(-g Tr X^4).  Deterministic per seed.
+    exp(-g Tr X^4); at g = 0 that is z_free exactly, returned without
+    sampling.  Deterministic per seed.
     """
     n = spec.n
     if n > 4:
         raise ValueError("matrix MC limited to n <= 4 (N^2-dimensional integral)")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    zf = z_free(spec).value
+    if spec.g == 0.0:
+        return zf, 0.0
     e = np.asarray(spec.e)
-    zf = z_free(spec)
     rng = np.random.default_rng(seed)
     pairs = list(combinations(range(n), 2))
     sd_diag = 1.0 / np.sqrt(2.0 * e)
@@ -259,24 +308,16 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
     while done < samples:
         m = min(_MC_BATCH, samples - done)
         done += m
-        x = np.zeros((m, n, n), dtype=complex)
+        # draw order diag, re, im keeps every seeded estimate unchanged
         diag = rng.normal(0.0, 1.0, (m, n)) * sd_diag
-        for i in range(n):
-            x[:, i, i] = diag[:, i]
-        if pairs:
-            re = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
-            im = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
-            for idx, (k, l) in enumerate(pairs):
-                x[:, k, l] = re[:, idx] + 1j * im[:, idx]
-                x[:, l, k] = re[:, idx] - 1j * im[:, idx]
-        x2 = np.einsum("mij,mjk->mik", x, x)
-        tr_x4 = np.einsum("mij,mij->m", x2, x2.conj()).real
-        w = np.exp(-spec.g * tr_x4)
+        re = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
+        im = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
+        w = np.exp(-spec.g * _trace_x4(n, diag, re, im))
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    return zf.value * mean, zf.value * math.sqrt(var / samples)
+    return zf * mean, zf * math.sqrt(var / samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,28 @@ class TestCli:
         rc = main(["partition", "--e", "1.0,1.1,1.2"])
         assert rc == 0
         assert "z_free" in capsys.readouterr().out
+
+    def test_count_total_skips_exact_oracle(self, capsys):
+        # N=12 is far beyond the exact counter; --total needs only the binomial
+        rc = main(["count", "--n", "12", "--t", ",".join(["5"] * 12), "--total"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == str(math.comb(66 - 1 + 30, 66 - 1))
+
+    @pytest.mark.parametrize("g", ["0", "0.1"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_2(self, capsys, g, samples):
+        rc = main(["partition", "--e", "1,1.1", "--g", g, "--mc", "--samples", samples])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "must be >= 1" in captured.err
+
+    def test_verify_json_is_valid(self, capsys):
+        rc = main(["verify", "--suite", "partition", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload and all(type(r["passed"]) is bool for r in payload)
+        assert all(type(r["known_issue"]) is bool for r in payload)
 
     def test_csv_format(self, capsys):
         rc = main(["count", "--n", "3", "--t", "1,1,2", "--format", "csv"])

@@ -14,6 +14,7 @@ from qmm.partition import (
     z_free,
     z_mc_eigen,
     z_mc_matrix,
+    z_quad_n2,
     z_weak,
     z_weak_expanded,
     z_zero_kinetic,
@@ -159,10 +160,9 @@ class TestMonteCarlo:
         assert abs(est - exact) / exact < 0.03
 
     def test_matrix_mc_free_is_exact(self):
-        spec = KineticSpectrum(3, (1.0, 1.1, 1.2), 0.0)
-        est, se = z_mc_matrix(spec, 10_000, seed=1)
-        assert est == pytest.approx(z_free(spec).value, rel=1e-12)
-        assert se == 0.0
+        for n in range(1, 5):
+            spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], 0.0)
+            assert z_mc_matrix(spec, 10_000, seed=1) == (z_free(spec).value, 0.0)
 
     def test_matrix_mc_n1(self):
         est, se = z_mc_matrix(KineticSpectrum(1, (1.0,), 0.0), 10_000, seed=2)
@@ -175,12 +175,62 @@ class TestMonteCarlo:
         assert abs(em - ee) <= 3 * math.hypot(sm, se)
 
     def test_matrix_mc_size_guard(self):
+        # at g = 0, so the guard must come before the exact free return
         with pytest.raises(ValueError):
             z_mc_matrix(KineticSpectrum(5, (1.0,) * 5, 0.0), 10_000, seed=0)
+
+    @pytest.mark.parametrize("g", [0.0, 0.1])
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_matrix_mc_rejects_nonpositive_samples(self, g, samples):
+        with pytest.raises(ValueError):
+            z_mc_matrix(KineticSpectrum(2, (1.0, 1.1), g), samples, seed=0)
 
     def test_deterministic(self):
         spec = KineticSpectrum(2, (1.0, 2.0), 0.3)
         assert z_mc_eigen(spec, 50_000, seed=7) == z_mc_eigen(spec, 50_000, seed=7)
+
+
+# (N, g, seed) -> (mean, stderr) of z_mc_matrix at 70k samples (one full
+# batch and part of a second), recorded with the complex-matrix einsum
+# kernel: the real-component kernel must reproduce its seeded outputs
+MATRIX_MC_PINS = {
+    (1, 0.1, 111): (1.6756957778171293, 0.0008313134103201346),
+    (2, 0.1, 121): (3.344026730832043, 0.004165322367810583),
+    (3, 0.1, 131): (6.318085455164278, 0.014405381483261362),
+    (4, 0.1, 141): (9.605922183542358, 0.0355490161756775),
+    (1, 0.5, 115): (1.4865066360967807, 0.0017524819198250097),
+    (2, 0.5, 125): (1.901596184227194, 0.0056862731647042385),
+    (3, 0.5, 135): (1.5283493578018637, 0.009589088689692698),
+    (4, 0.5, 145): (0.6283226162105844, 0.008733125097807612),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MATRIX_MC_PINS))
+def test_matrix_mc_seeded_outputs_pinned(key):
+    n, g, seed = key
+    spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], g)
+    mean, se = z_mc_matrix(spec, 70_000, seed)
+    want_mean, want_se = MATRIX_MC_PINS[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert se == pytest.approx(want_se, rel=1e-12)
+
+
+class TestQuadratureOracle:
+    def test_free_theory(self):
+        spec = KineticSpectrum(2, (1.0, 1.1), 0.0)
+        value, err = z_quad_n2(spec)
+        assert value == pytest.approx(z_free(spec).value, rel=1e-9)
+        assert 0.0 <= err < 1e-5
+
+    def test_agrees_with_eigen_mc(self):
+        spec = KineticSpectrum(2, (1.0, 2.0), 0.5)
+        value, err = z_quad_n2(spec)
+        est, se = z_mc_eigen(spec, 400_000, seed=12)
+        assert abs(value - est) <= 4 * math.hypot(se, err)
+
+    def test_needs_n2(self):
+        with pytest.raises(ValueError):
+            z_quad_n2(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1))
 
 
 class TestHciz:
