@@ -215,6 +215,29 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     assert se == pytest.approx(want_se, rel=1e-12)
 
 
+# spectrum, samples, seed -> (mean, stderr) of z_mc_eigen, one spectrum per
+# branch (det form for distinct, Delta^2 form for all-equal), two batches
+EIGEN_MC_PINS = {
+    ((1.0, 1.1, 1.2), 70_000, 31): (6.299947086537633, 0.05984180210834716),
+    ((1.0, 1.0, 1.0), 70_000, 32): (8.61013819004862, 0.08847615017655631),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EIGEN_MC_PINS))
+def test_eigen_mc_seeded_outputs_pinned(key):
+    e, samples, seed = key
+    mean, se = z_mc_eigen(KineticSpectrum(3, e, 0.1), samples, seed)
+    want_mean, want_se = EIGEN_MC_PINS[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert se == pytest.approx(want_se, rel=1e-12)
+
+
+def test_haar_mc_seeded_output_pinned():
+    mean, se = hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, 100_000, 21)
+    assert mean == pytest.approx(2.6072959993579237, rel=1e-12)
+    assert se == pytest.approx(0.0018243363621251278, rel=1e-12)
+
+
 class TestQuadratureOracle:
     def test_free_theory(self):
         spec = KineticSpectrum(2, (1.0, 1.1), 0.0)

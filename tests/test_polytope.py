@@ -204,3 +204,27 @@ class TestBranchBoundaryExact:
             above = exact_volume_n4(DiagonalSpec(4, (h[0] - eps,) + h[1:]))
             assert below == pytest.approx(at, abs=1e-6)
             assert above == pytest.approx(at, abs=1e-6)
+
+
+# sampler, diagonal, samples, seed -> (mean, stderr); more than one batch of
+# 65,536 samples each, so the pins cover the chunked accumulation
+VOLUME_MC_PINS = {
+    ("mc_volume", (0.6, 0.5, 0.55, 0.45), 100_000, 41):
+        (0.08052975, 0.00034108874380339054),
+    ("mc_volume", (0.55, 0.5, 0.5, 0.45, 0.5), 100_000, 51):
+        (0.000558125, 1.3088125432763472e-05),
+    ("mc_volume_peel", (0.55, 0.5, 0.5, 0.45, 0.5), 70_000, 52):
+        (0.0005796354136345633, 1.0523487825564742e-06),
+    ("mc_volume_peel", (0.52, 0.47, 0.5, 0.53, 0.49, 0.51, 0.48, 0.5, 0.46), 70_000, 92):
+        (9.844182733220946e-25, 8.692229563504194e-27),
+}
+
+
+@pytest.mark.parametrize("key", sorted(VOLUME_MC_PINS))
+def test_volume_mc_seeded_outputs_pinned(key):
+    name, h, samples, seed = key
+    sampler = {"mc_volume": mc_volume, "mc_volume_peel": mc_volume_peel}[name]
+    mean, se = sampler(DiagonalSpec(len(h), h), samples, seed)
+    want_mean, want_se = VOLUME_MC_PINS[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12)
+    assert se == pytest.approx(want_se, rel=1e-12)
