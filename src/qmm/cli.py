@@ -16,12 +16,15 @@ import sys
 
 from . import asymcount, counting, detkit, partition, polytope, quadrature
 from .acceptance import SUITES, run_acceptance
-from .config import RunConfig, load_config
+from .config import OUTPUT_FORMATS, RunConfig, load_config
 from .orthopoly import quartic_r_sequence, u_coefficients
 
 
 def _emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        # JSON has no inf or nan: an overflowed value becomes null
+        payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in payload.items()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if fmt == "csv":
         buf = io.StringIO()
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int, help="override RNG seed (default 42)")
     common.add_argument("--samples", type=int, help="override MC sample count")
-    common.add_argument("--format", choices=("text", "json", "csv"), help="output format")
+    common.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -260,9 +263,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = load_config(args.config).override(
-        seed=args.seed, mc_samples=args.samples, output_format=args.format
-    )
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    cfg = cfg.override(seed=args.seed, mc_samples=args.samples, output_format=args.format)
     if cfg.mc_samples < 1:
         print(f"error: sample count (--samples, mc_samples) must be >= 1, got {cfg.mc_samples}",
               file=sys.stderr)

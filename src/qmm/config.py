@@ -1,13 +1,14 @@
 """Run configuration: fixed seeds and sample counts for reproducible output.
 
 Plain key=value config files; environment variables with the QMM_ prefix
-override file values, command-line flags override both.
+override file values, command-line flags override both.  Unknown keys,
+malformed lines and bad values raise ValueError.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 ENV_PREFIX = "QMM_"
 
@@ -18,7 +19,6 @@ class RunConfig:
     mc_samples: int = 100_000
     output_format: str = "text"  # text | json | csv
     state_cap: int = 200_000_000
-    tolerances: dict = field(default_factory=dict)
 
     def override(self, **kwargs) -> "RunConfig":
         clean = {k: v for k, v in kwargs.items() if v is not None}
@@ -26,11 +26,20 @@ class RunConfig:
 
 
 _INT_KEYS = {"seed", "mc_samples", "state_cap"}
+OUTPUT_FORMATS = ("text", "json", "csv")
 
 
 def _coerce(key: str, value: str):
+    if key not in RunConfig.__dataclass_fields__:
+        raise ValueError(f"unknown config key {key!r}")
     if key in _INT_KEYS:
-        return int(float(value))
+        try:
+            return int(float(value))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    if key == "output_format" and value not in OUTPUT_FORMATS:
+        raise ValueError(f"output_format must be one of {', '.join(OUTPUT_FORMATS)}, "
+                         f"got {value!r}")
     return value
 
 
@@ -49,9 +58,8 @@ def load_config(path: str | None = None, environ=None) -> RunConfig:
                 key = key.strip()
                 values[key] = _coerce(key, raw.strip())
     env = os.environ if environ is None else environ
-    for key in ("seed", "mc_samples", "output_format", "state_cap"):
+    for key in RunConfig.__dataclass_fields__:
         raw = env.get(ENV_PREFIX + key.upper())
         if raw is not None:
             values[key] = _coerce(key, raw)
-    known = {k: v for k, v in values.items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**known)
+    return RunConfig(**values)

@@ -39,7 +39,11 @@ class NodeSet:
 
 
 def vandermonde_det(nodes) -> float:
-    """prod_{k<l} (x_l - x_k); accepts a NodeSet or a plain sequence."""
+    """prod_{k<l} (x_l - x_k); accepts a NodeSet or a plain sequence.
+
+    Nodes may be floats, Fractions (exact result), mpmath numbers, or
+    numpy arrays of equal shape, e.g. list(lam.T) for a per-row product.
+    """
     x = list(nodes.x if isinstance(nodes, NodeSet) else nodes)
     out = 1.0 if not isinstance(x[0] if x else 0, (Fraction, int)) else Fraction(1)
     for k, l in combinations(range(len(x)), 2):
@@ -112,12 +116,7 @@ def exp_det_factorization(x, y, c=1.0):
             for l in range(n):
                 m[k, l] = mp.e ** (cc * xs[k] * ys[l])
         exact = mp.det(m)
-        dx = mp.mpf(1)
-        dy = mp.mpf(1)
-        for k, l in combinations(range(n), 2):
-            dx *= xs[l] - xs[k]
-            dy *= ys[l] - ys[k]
-        fact = cc ** (n * (n - 1) // 2) * dx * dy
+        fact = cc ** (n * (n - 1) // 2) * vandermonde_det(xs) * vandermonde_det(ys)
         for t in range(n):
             fact /= mp.factorial(t)
         exact_f = complex(exact) if isinstance(c, complex) else float(exact)

@@ -1,8 +1,9 @@
-"""Shared asymptotic and combinatorial utilities.
+"""Shared asymptotic, combinatorial and Monte Carlo utilities.
 
 Sign-carrying log-space numbers, Stirling approximations, the Lambert-W
-truncation bound, distinct-part partition counts and the symmetric
-pole-sum functions used by the determinant and enumeration modules.
+truncation bound, distinct-part partition counts, the symmetric
+pole-sum functions used by the determinant and enumeration modules, and
+the seeded Monte Carlo mean that every sampler runs through.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,37 @@ class LogValue:
     def ratio(self, other: "LogValue") -> float:
         """exp(log self - log other), sign included."""
         return (self / other).value
+
+
+# ---------------------------------------------------------------------------
+# seeded Monte Carlo
+
+#: samples drawn per batch; the seeded outputs depend on it
+MC_BATCH = 1 << 16
+
+
+def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
+    """Seeded Monte Carlo mean of per-sample weights, as (mean, stderr).
+
+    batch(rng, m) returns the m weights of the next batch, drawn from the
+    one generator default_rng(seed); batches hold MC_BATCH samples except
+    the last.  stderr is sqrt((E[w^2] - E[w]^2) / samples).
+    """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        done += m
+        w = batch(rng, m)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
 
 
 # ---------------------------------------------------------------------------

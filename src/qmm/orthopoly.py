@@ -17,6 +17,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from .detkit import _det_exact
+
 log = logging.getLogger(__name__)
 
 QUARTIC_DPS = 60
@@ -68,34 +70,9 @@ class MomentSeq:
             raise ValueError("not enough moments")
         if all(isinstance(r, (int, Fraction)) for r in self.rho[: 2 * k + 1]):
             rows = [[Fraction(self.rho[i + j]) for j in range(size)] for i in range(size)]
-            return _det_fraction(rows)
+            return _det_exact(rows)
         rows = [[float(self.rho[i + j]) for j in range(size)] for i in range(size)]
         return float(np.linalg.det(np.array(rows)))
-
-
-def _det_fraction(m):
-    """Fraction-exact determinant by fraction-free-style Gaussian elimination."""
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / Fraction(m[col][col])
-        for row in range(col + 1, n):
-            factor = m[row][col] * inv
-            if factor:
-                m[row] = [a - factor * b for a, b in zip(m[row], m[col])]
-    return det
 
 
 class QuasiDefiniteError(Exception):

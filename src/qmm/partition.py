@@ -15,11 +15,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .numkit import LogValue
+from .detkit import vandermonde_det
+from .numkit import LogValue, mc_mean
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
-_MC_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,40 +136,26 @@ def z_zero_kinetic(n: int, g: float) -> LogValue:
 # eigenvalue integrand and Monte Carlo
 
 
-@dataclass(frozen=True)
-class EigenIntegrand:
-    """Callable context for the symmetrised eigenvalue integrand."""
-
-    spec: KineticSpectrum
-
-    def __call__(self, lam) -> float:
-        return eigen_integrand(self, lam)
-
-
-def eigen_integrand(ctx: EigenIntegrand, lam) -> float:
+def eigen_integrand(spec: KineticSpectrum, lam) -> float:
     """Delta(lam) det(exp(-e_k lam_l^2)) e^<quartic> / (prod(lam_m+lam_n) Delta(e)).
 
     Finite everywhere: at lam_m + lam_n = 0 the determinant's compensating
     zero is taken analytically (derivative column), mirroring the paired
     exponential cancellation of the two-eigenvalue case.
     """
-    spec = ctx.spec
     n = spec.n
     e = np.asarray(spec.e)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n,):
         raise ValueError("need one eigenvalue per index")
-    de = 1.0
-    for k, l in combinations(range(n), 2):
-        de *= e[l] - e[k]
+    de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
     scale = max(1.0, float(np.max(np.abs(lam))))
     colliding: list[tuple[int, int]] = []
     denom = 1.0
-    num = 1.0
+    num = vandermonde_det(lam)
     for m, nn in combinations(range(n), 2):
-        num *= lam[nn] - lam[m]
         s = lam[m] + lam[nn]
         if abs(s) < _COLLISION_RTOL * scale:
             colliding.append((m, nn))
@@ -195,9 +181,8 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
 
     if spec.n != 2:
         raise ValueError("quadrature oracle implemented for N = 2")
-    ctx = EigenIntegrand(spec)
     val, err = dblquad(
-        lambda y, x: eigen_integrand(ctx, (x, y)),
+        lambda y, x: eigen_integrand(spec, (x, y)),
         -np.inf, np.inf, -np.inf, np.inf, epsrel=1e-6,
     )
     return -0.5 * math.pi * val, 0.5 * math.pi * err
@@ -212,7 +197,6 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
     """
     n = spec.n
     e = np.asarray(spec.e)
-    rng = np.random.default_rng(seed)
     all_equal = np.all(e == e[0])
     emin = float(e.min())
     sigma = 1.0 / math.sqrt(2.0 * emin)
@@ -221,39 +205,24 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
     if not all_equal:
         ln_pref += _sum_lgamma(n - 1)
         sign = (-1.0) ** (n * (n - 1) // 2)
-        ctx = EigenIntegrand(spec)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_BATCH, samples - done)
-        done += m
+        de = vandermonde_det(spec.e)
+
+    def weights(rng, m):
         lam = rng.normal(0.0, sigma, (m, n))
         log_q = (n / 2.0) * math.log(emin / math.pi) - emin * (lam**2).sum(axis=1)
+        vdm = vandermonde_det(list(lam.T))
         if all_equal:
-            vdm = np.ones(m)
-            for k, l in combinations(range(n), 2):
-                vdm *= lam[:, l] - lam[:, k]
             ln_f = -(e[0] * (lam**2).sum(axis=1) + spec.g * (lam**4).sum(axis=1))
-            w = vdm * vdm * np.exp(ln_f - log_q)
-        else:
-            vdm = np.ones(m)
-            pole = np.ones(m)
-            for k, l in combinations(range(n), 2):
-                vdm *= lam[:, l] - lam[:, k]
-                pole *= lam[:, k] + lam[:, l]
-            mats = np.exp(-e[None, :, None] * (lam**2)[:, None, :])
-            dets = np.linalg.det(mats)
-            de = 1.0
-            for k, l in combinations(range(n), 2):
-                de *= e[l] - e[k]
-            w = vdm * dets * np.exp(-spec.g * (lam**4).sum(axis=1) - log_q) / (pole * de)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    pref = sign * math.exp(ln_pref)
-    return pref * mean, abs(math.exp(ln_pref)) * math.sqrt(var / samples)
+            return vdm * vdm * np.exp(ln_f - log_q)
+        pole = np.ones(m)
+        for k, l in combinations(range(n), 2):
+            pole *= lam[:, k] + lam[:, l]
+        mats = np.exp(-e[None, :, None] * (lam**2)[:, None, :])
+        dets = np.linalg.det(mats)
+        return vdm * dets * np.exp(-spec.g * (lam**4).sum(axis=1) - log_q) / (pole * de)
+
+    mean, se = mc_mean(weights, samples, seed)
+    return sign * math.exp(ln_pref) * mean, abs(math.exp(ln_pref)) * se
 
 
 def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -298,26 +267,19 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
     if spec.g == 0.0:
         return zf, 0.0
     e = np.asarray(spec.e)
-    rng = np.random.default_rng(seed)
     pairs = list(combinations(range(n), 2))
     sd_diag = 1.0 / np.sqrt(2.0 * e)
     sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_BATCH, samples - done)
-        done += m
+
+    def weights(rng, m):
         # draw order diag, re, im keeps every seeded estimate unchanged
         diag = rng.normal(0.0, 1.0, (m, n)) * sd_diag
         re = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
         im = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
-        w = np.exp(-spec.g * _trace_x4(n, diag, re, im))
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return zf * mean, zf * math.sqrt(var / samples)
+        return np.exp(-spec.g * _trace_x4(n, diag, re, im))
+
+    mean, se = mc_mean(weights, samples, seed)
+    return zf * mean, zf * se
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +320,7 @@ def hciz_value(x, y, t: float) -> float:
     if pair is not None:
         i, j = pair
         mat[:, j] = t * np.array(xs) * np.exp(t * np.array(xs) * ys[j])
-    dx = 1.0
-    for i, j in combinations(range(n), 2):
-        dx *= xs[j] - xs[i]
+    dx = vandermonde_det(xs)
     pref = math.prod(math.factorial(m) for m in range(n))
     return pref * t ** (-(n * (n - 1) // 2)) * float(np.linalg.det(mat)) / (dx * dy)
 
@@ -374,16 +334,11 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
     """
     if len(x) != 2 or len(y) != 2:
         raise ValueError("Haar cross-check implemented for N = 2")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(_MC_BATCH, samples - done)
-        done += m
+
+    def weights(rng, m):
         theta = np.arcsin(np.sqrt(rng.random(m)))
         p = np.cos(theta) ** 2
-        val = np.exp(
+        return np.exp(
             t
             * (
                 x[0] * y[0] * p
@@ -392,11 +347,8 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
                 + x[1] * y[1] * p
             )
         )
-        total += float(val.sum())
-        total_sq += float((val * val).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+
+    return mc_mean(weights, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import LogValue
-
-_MC_CHUNK = 1 << 16
+from .numkit import LogValue, mc_mean
 
 
 @dataclass(frozen=True)
@@ -85,30 +83,24 @@ def exact_volume_n4(spec: DiagonalSpec) -> float:
     """
     if spec.n != 4:
         raise ValueError("exact_volume_n4 requires n = 4")
-    return _exact_volume_n4_rowsum(spec.u)
+    return float(_exact_volume_n4_rowsum(spec.u))
 
 
-def _exact_volume_n4_rowsum(u) -> float:
-    u = tuple(float(x) for x in u)
-    if any(s < 0.0 for s in _s_single(u)):
-        return 0.0
-    half = sum(u) / 2.0
-    s12 = half - u[0] - u[1]
-    s13 = half - u[0] - u[2]
-    s14 = half - u[0] - u[3]
-    s1, s2, s3, s4 = _s_single(u)
-    branch = {
-        (True, True, True): u[0],
-        (False, False, False): s1,
-        (True, False, False): u[1],
-        (False, True, True): s2,
-        (False, True, False): u[2],
-        (True, False, True): s3,
-        (False, False, True): u[3],
-        (True, True, False): s4,
-    }
-    side = branch[(s12 >= 0.0, s13 >= 0.0, s14 >= 0.0)]
-    return 0.5 * side * side
+def _exact_volume_n4_rowsum(u) -> np.ndarray:
+    """Exact N=4 volume of each row-sum vector along the last axis of u."""
+    u1, u2, u3, u4 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    half = (u1 + u2 + u3 + u4) / 2.0
+    s1, s2, s3, s4 = half - u1, half - u2, half - u3, half - u4
+    s12 = half - u1 - u2
+    s13 = half - u1 - u3
+    s14 = half - u1 - u4
+    # branch side indexed by the sign bits (s12 >= 0, s13 >= 0, s14 >= 0)
+    side = np.choose(
+        4 * (s12 >= 0.0) + 2 * (s13 >= 0.0) + (s14 >= 0.0),
+        [s1, u4, u3, s2, u2, s3, s4, u1],
+    )
+    empty = (s1 < 0.0) | (s2 < 0.0) | (s3 < 0.0) | (s4 < 0.0)
+    return np.where(empty, 0.0, 0.5 * side * side)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +145,7 @@ def mc_volume(
         for k in range(4, n + 1)
     }
 
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        done += m
+    def weights(rng, m):
         x = rng.random((m, len(pairs))) * box
         ok = np.ones(m, dtype=bool)
         for k in range(4, n + 1):
@@ -166,12 +153,10 @@ def mc_volume(
         ok &= x[:, idx_k_ge3].sum(axis=1) - s12 >= 0.0
         ok &= x[:, idx_13].sum(axis=1) - s13 >= 0.0
         ok &= s1 - x.sum(axis=1) >= 0.0
-        hits += int(ok.sum())
+        return ok.astype(float)
 
-    p = hits / samples
-    est = box_vol * p
-    se = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, se
+    p, se = mc_mean(weights, samples, seed)
+    return box_vol * p, box_vol * se
 
 
 def mc_volume_peel(
@@ -194,13 +179,8 @@ def mc_volume_peel(
     if np.any(u0 <= 0.0):
         # a unit diagonal entry pins its row: measure zero in full dimension
         return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        batch = min(_MC_CHUNK, samples - done)
-        done += batch
+
+    def weights(rng, batch):
         u = np.tile(u0, (batch, 1))
         w = np.ones(batch)
         for k in range(n, 4, -1):
@@ -215,18 +195,9 @@ def mc_volume_peel(
                 0.0,
             )
             u[:, :m] -= g
-        v4 = np.array(
-            [
-                _exact_volume_n4_rowsum(row) if wi > 0.0 else 0.0
-                for row, wi in zip(u[:, :4], w)
-            ]
-        )
-        w *= v4
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+        return w * _exact_volume_n4_rowsum(u[:, :4])
+
+    return mc_mean(weights, samples, seed)
 
 
 # ---------------------------------------------------------------------------

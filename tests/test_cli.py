@@ -110,3 +110,33 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",") == ["count", "n", "t"]
+
+    @pytest.mark.parametrize("text", [
+        "seed 7\n",
+        "seed=abc\n",
+        None,  # missing file
+        "output_format=yaml\n",
+        "seed=7\nbogus=1\n",
+        "tolerances=1\n",
+    ])
+    def test_bad_config_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        if text is not None:
+            path.write_text(text)
+        rc = main(["partition", "--e", "1,1.1", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_json_overflow_is_null(self, capsys):
+        # value = e^5345 overflows a float; JSON has no Infinity
+        rc = main(["asym", "--n", "60", "--t", ",".join(["500"] * 60), "--format", "json"])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["value"] is None
+        assert math.isfinite(payload["log_value"]) and payload["log_value"] > 700

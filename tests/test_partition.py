@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qmm.partition import (
-    EigenIntegrand,
     KineticSpectrum,
     direct_route_correction,
     eigen_integrand,
@@ -133,22 +132,22 @@ class TestZZeroKinetic:
 
 class TestEigenIntegrand:
     def test_collision_limit_continuous(self):
-        ctx = EigenIntegrand(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1))
+        spec = KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1)
         lam1 = 0.7
-        at_limit = eigen_integrand(ctx, (lam1, -lam1, 0.3))
-        probe = eigen_integrand(ctx, (lam1, -lam1 + 1e-6, 0.3))
+        at_limit = eigen_integrand(spec, (lam1, -lam1, 0.3))
+        probe = eigen_integrand(spec, (lam1, -lam1 + 1e-6, 0.3))
         assert at_limit == pytest.approx(probe, rel=1e-4)
         assert math.isfinite(at_limit)
 
     def test_equal_eigenvalues_vanish(self):
-        ctx = EigenIntegrand(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.0))
-        assert eigen_integrand(ctx, (0.4, 0.4, 0.4)) == pytest.approx(0.0, abs=1e-15)
+        spec = KineticSpectrum(3, (1.0, 1.1, 1.2), 0.0)
+        assert eigen_integrand(spec, (0.4, 0.4, 0.4)) == pytest.approx(0.0, abs=1e-15)
 
     def test_global_sign_flip_even(self):
-        ctx = EigenIntegrand(KineticSpectrum(3, (1.0, 1.3, 1.9), 0.2))
+        spec = KineticSpectrum(3, (1.0, 1.3, 1.9), 0.2)
         lam = (0.3, -0.8, 1.1)
-        a = eigen_integrand(ctx, lam)
-        b = eigen_integrand(ctx, tuple(-x for x in lam))
+        a = eigen_integrand(spec, lam)
+        b = eigen_integrand(spec, tuple(-x for x in lam))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -182,8 +181,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("g", [0.0, 0.1])
     @pytest.mark.parametrize("samples", [0, -1])
     def test_matrix_mc_rejects_nonpositive_samples(self, g, samples):
+        spec = KineticSpectrum(2, (1.0, 1.1), g)
         with pytest.raises(ValueError):
-            z_mc_matrix(KineticSpectrum(2, (1.0, 1.1), g), samples, seed=0)
+            z_mc_matrix(spec, samples, seed=0)
+        with pytest.raises(ValueError):
+            z_mc_eigen(spec, samples, seed=0)
+        with pytest.raises(ValueError):
+            hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, samples, seed=0)
 
     def test_deterministic(self):
         spec = KineticSpectrum(2, (1.0, 2.0), 0.3)
@@ -332,20 +336,20 @@ class TestEigenIntegrandProperties:
     @given(_lam, _lam, st.integers(0, 2))
     def test_finite_at_forced_collisions(self, l1, l3, which):
         # place one exact collision lam_j = -lam_i among three eigenvalues
-        ctx = EigenIntegrand(KineticSpectrum(3, (0.9, 1.2, 1.6), 0.05))
+        spec = KineticSpectrum(3, (0.9, 1.2, 1.6), 0.05)
         lam = [l1, -l1, l3]
         if which == 1:
             lam = [l1, l3, -l1]
         elif which == 2:
             lam = [l3, l1, -l1]
-        val = eigen_integrand(ctx, tuple(lam))
+        val = eigen_integrand(spec, tuple(lam))
         assert math.isfinite(val)
 
     @settings(max_examples=40, deadline=None)
     @given(_lam, _lam, _lam)
     def test_finite_generic(self, l1, l2, l3):
-        ctx = EigenIntegrand(KineticSpectrum(3, (0.9, 1.2, 1.6), 0.05))
-        assert math.isfinite(eigen_integrand(ctx, (l1, l2, l3)))
+        spec = KineticSpectrum(3, (0.9, 1.2, 1.6), 0.05)
+        assert math.isfinite(eigen_integrand(spec, (l1, l2, l3)))
 
 
 class TestZeroKineticN3:
