@@ -74,26 +74,6 @@ def cmd_asym(args, cfg: RunConfig) -> tuple[int, str]:
 def cmd_volume(args, cfg: RunConfig) -> tuple[int, str]:
     h = _parse_floats(args.h)
     spec = polytope.DiagonalSpec(len(h), h)
-    if args.sweep:
-        # Fig-style sweep data: diagonal (c,...,c,x,1-x); columns x, exact, asymptotic, mc
-        rows = ["x,exact,asymptotic,mc"]
-        for i in range(args.sweep_points):
-            x = 0.30 + 0.40 * i / max(args.sweep_points - 1, 1)
-            hh = h[:-2] + (x, 1.0 - x)
-            sp = polytope.DiagonalSpec(len(hh), hh)
-            exact = (
-                polytope.exact_volume_n4(sp)
-                if sp.n == 4
-                else (polytope.exact_volume_n3(sp) if sp.n == 3 else float("nan"))
-            )
-            asym = polytope.asymptotic_volume(sp).value
-            mc, _ = (
-                polytope.mc_volume(sp, cfg.mc_samples, cfg.seed)
-                if sp.n >= 4
-                else (exact, 0.0)
-            )
-            rows.append(f"{x:.6f},{exact:.6e},{asym:.6e},{mc:.6e}")
-        return 0, "\n".join(rows)
     payload: dict = {"n": spec.n, "chi": spec.chi}
     if spec.n == 3:
         payload["exact"] = polytope.exact_volume_n3(spec)
@@ -216,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("volume", help="diagonal subpolytope volumes")
     p.add_argument("--h", required=True, help="comma-separated diagonal entries")
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--sweep", action="store_true", help="emit (x, exact, asymptotic, mc) CSV")
-    p.add_argument("--sweep-points", type=int, default=9)
 
     p = add_parser("orthopoly", help="quartic-weight recursion tables")
     p.add_argument("--n", type=int, default=10)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .detkit import _det_exact
+from .detkit import _square_det
 
 log = logging.getLogger(__name__)
 
@@ -65,14 +65,9 @@ class MomentSeq:
 
     def hankel_det(self, k: int):
         """det(rho_{i+j})_{i,j=0..k}; exact for integer/Fraction moments."""
-        size = k + 1
         if 2 * k >= len(self.rho):
             raise ValueError("not enough moments")
-        if all(isinstance(r, (int, Fraction)) for r in self.rho[: 2 * k + 1]):
-            rows = [[Fraction(self.rho[i + j]) for j in range(size)] for i in range(size)]
-            return _det_exact(rows)
-        rows = [[float(self.rho[i + j]) for j in range(size)] for i in range(size)]
-        return float(np.linalg.det(np.array(rows)))
+        return _square_det([[self.rho[i + j] for j in range(k + 1)] for i in range(k + 1)])
 
 
 class QuasiDefiniteError(Exception):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -136,56 +137,56 @@ def z_zero_kinetic(n: int, g: float) -> LogValue:
 # eigenvalue integrand and Monte Carlo
 
 
-def eigen_integrand(spec: KineticSpectrum, lam) -> float:
+def eigen_integrand(spec: KineticSpectrum, lam):
     """Delta(lam) det(exp(-e_k lam_l^2)) e^<quartic> / (prod(lam_m+lam_n) Delta(e)).
 
-    Finite everywhere: at lam_m + lam_n = 0 the determinant's compensating
-    zero is taken analytically (derivative column), mirroring the paired
-    exponential cancellation of the two-eigenvalue case.
+    lam holds the eigenvalues on its last axis; the result has the leading
+    shape (a float for one point).  Finite everywhere: at lam_m + lam_n = 0
+    the determinant's compensating zero is taken analytically (derivative
+    column), mirroring the paired exponential cancellation of the
+    two-eigenvalue case.
     """
     n = spec.n
     e = np.asarray(spec.e)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n,):
+    if lam.shape[-1:] != (n,):
         raise ValueError("need one eigenvalue per index")
     de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    colliding: list[tuple[int, int]] = []
+    cols = list(np.moveaxis(lam, -1, 0))  # one leading-shape array per eigenvalue
+    scale = reduce(np.maximum, map(np.abs, cols), 1.0)
+    sq = lam * lam
+    mat = np.exp(-e[:, None] * sq[..., None, :])
     denom = 1.0
-    num = vandermonde_det(lam)
-    for m, nn in combinations(range(n), 2):
-        s = lam[m] + lam[nn]
-        if abs(s) < _COLLISION_RTOL * scale:
-            colliding.append((m, nn))
-        else:
-            denom *= s
-    mat = np.exp(-np.outer(e, lam**2))
-    for m, nn in colliding:
-        # limit of column nn paired with the 1/(lam_m + lam_nn) pole
-        mat[:, nn] = -2.0 * e * lam[nn] * np.exp(-e * lam[nn] ** 2)
-    det = float(np.linalg.det(mat))
-    gauss = math.exp(-spec.g * float(np.sum(lam**4)))
-    return num * det * gauss / (denom * de)
+    for nn in range(1, n):
+        hit = False
+        for m in range(nn):
+            s = cols[m] + cols[nn]
+            pole = np.abs(s) < _COLLISION_RTOL * scale
+            denom = denom * np.where(pole, 1.0, s)
+            hit = hit | pole
+        # limit of column nn paired with a 1/(lam_m + lam_nn) pole
+        mat[..., nn] *= np.where(hit[..., None], -2.0 * e * cols[nn][..., None], 1.0)
+    gauss = np.exp(-spec.g * (sq * sq).sum(axis=-1))
+    return vandermonde_det(cols) * np.linalg.det(mat) * gauss / (denom * de)
 
 
 def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
-    """N = 2 partition function by 2-D adaptive quadrature, as (value, abserr).
+    """N = 2 partition function by 2-D adaptive cubature, as (value, abserr).
 
     A deterministic oracle for the samplers: Z = -(pi/2) times the integral
     of eigen_integrand over R^2, the eigenvalue-reduction prefactor and
-    sign at N = 2.  abserr is quad's own error estimate, scaled alike.
+    sign at N = 2.  abserr is the cubature's own error estimate, scaled
+    alike.
     """
-    from scipy.integrate import dblquad
+    from scipy.integrate import cubature
 
     if spec.n != 2:
         raise ValueError("quadrature oracle implemented for N = 2")
-    val, err = dblquad(
-        lambda y, x: eigen_integrand(spec, (x, y)),
-        -np.inf, np.inf, -np.inf, np.inf, epsrel=1e-6,
-    )
-    return -0.5 * math.pi * val, 0.5 * math.pi * err
+    res = cubature(lambda lam: eigen_integrand(spec, lam),
+                   [-np.inf, -np.inf], [np.inf, np.inf], rtol=1e-6)
+    return -0.5 * math.pi * float(res.estimate), 0.5 * math.pi * float(res.error)
 
 
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
@@ -193,7 +194,8 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
 
     Proposal: independent normals matched to the softest eigenvalue
     (keeps every determinant term bounded under the weight).  Coincident
-    spectra use the exact Delta^2 reduction instead of the det form.
+    spectra use the exact Delta^2 reduction instead of the det form;
+    a partly coincident spectrum is rejected by eigen_integrand.
     """
     n = spec.n
     e = np.asarray(spec.e)
@@ -205,21 +207,15 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
     if not all_equal:
         ln_pref += _sum_lgamma(n - 1)
         sign = (-1.0) ** (n * (n - 1) // 2)
-        de = vandermonde_det(spec.e)
 
     def weights(rng, m):
         lam = rng.normal(0.0, sigma, (m, n))
         log_q = (n / 2.0) * math.log(emin / math.pi) - emin * (lam**2).sum(axis=1)
+        if not all_equal:
+            return eigen_integrand(spec, lam) * np.exp(-log_q)
         vdm = vandermonde_det(list(lam.T))
-        if all_equal:
-            ln_f = -(e[0] * (lam**2).sum(axis=1) + spec.g * (lam**4).sum(axis=1))
-            return vdm * vdm * np.exp(ln_f - log_q)
-        pole = np.ones(m)
-        for k, l in combinations(range(n), 2):
-            pole *= lam[:, k] + lam[:, l]
-        mats = np.exp(-e[None, :, None] * (lam**2)[:, None, :])
-        dets = np.linalg.det(mats)
-        return vdm * dets * np.exp(-spec.g * (lam**4).sum(axis=1) - log_q) / (pole * de)
+        ln_f = -(e[0] * (lam**2).sum(axis=1) + spec.g * (lam**4).sum(axis=1))
+        return vdm * vdm * np.exp(ln_f - log_q)
 
     mean, se = mc_mean(weights, samples, seed)
     return sign * math.exp(ln_pref) * mean, abs(math.exp(ln_pref)) * se

@@ -116,13 +116,10 @@ def quartic_gauss_direct(a, b, c, d, cutoff: float | None = None) -> complex:
         decay = max(b.real, 0.0) + max(d.real, 0.0)
         cutoff = 50.0 if decay < 0.1 else min(60.0, 12.0 / decay**0.25 + 20.0)
 
-    def integrand(x, part):
-        val = cmath.exp(1j * a * x - b * x * x + 1j * c * x**3 - d * x**4)
-        return val.real if part == 0 else val.imag
+    def integrand(x):
+        return cmath.exp(1j * a * x - b * x * x + 1j * c * x**3 - d * x**4)
 
-    re = quad(integrand, -cutoff, cutoff, args=(0,), limit=600)[0]
-    im = quad(integrand, -cutoff, cutoff, args=(1,), limit=600)[0]
-    return complex(re, im)
+    return complex(quad(integrand, -cutoff, cutoff, limit=600, complex_func=True)[0])
 
 
 # ---------------------------------------------------------------------------

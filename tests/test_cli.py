@@ -58,14 +58,6 @@ class TestCli:
         assert rc == 1
         assert "too large" in capsys.readouterr().err
 
-    def test_volume_sweep_csv(self, capsys):
-        rc = main(["volume", "--h", "0.5,0.5,0.5,0.5", "--sweep",
-                   "--sweep-points", "3", "--samples", "20000"])
-        assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "x,exact,asymptotic,mc"
-        assert len(lines) == 4
-
     def test_verify_suite_exit_codes(self, capsys):
         rc = main(["verify", "--suite", "utilities"])
         out = capsys.readouterr().out

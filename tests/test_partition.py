@@ -189,6 +189,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, samples, seed=0)
 
+    def test_eigen_mc_rejects_partly_coincident_spectrum(self):
+        # two equal kinetic eigenvalues, not all: the det form has no limit
+        # here and the all-equal Delta^2 form does not apply
+        with pytest.raises(ValueError, match="distinct"):
+            z_mc_eigen(KineticSpectrum(3, (1.0, 1.0, 1.2), 0.1), 1000, seed=1)
+
     def test_deterministic(self):
         spec = KineticSpectrum(2, (1.0, 2.0), 0.3)
         assert z_mc_eigen(spec, 50_000, seed=7) == z_mc_eigen(spec, 50_000, seed=7)
@@ -342,8 +348,14 @@ class TestEigenIntegrandProperties:
             lam = [l1, l3, -l1]
         elif which == 2:
             lam = [l3, l1, -l1]
-        val = eigen_integrand(spec, tuple(lam))
-        assert math.isfinite(val)
+        # the same row in one batch with a near-collision row and a generic
+        # row: the batch result is the per-row result
+        batch = np.array([lam, [l1, -l1 + 1e-6, l3], [l1, l3, 0.37]])
+        vals = eigen_integrand(spec, batch)
+        assert vals.shape == (3,)
+        rows = [eigen_integrand(spec, tuple(row)) for row in batch]
+        assert list(vals) == pytest.approx(rows, rel=1e-13)
+        assert np.all(np.isfinite(vals))
 
     @settings(max_examples=40, deadline=None)
     @given(_lam, _lam, _lam)
