@@ -225,10 +225,13 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     assert se == pytest.approx(want_se, rel=1e-12)
 
 
-# spectrum, samples, seed -> (mean, stderr) of z_mc_eigen, one spectrum per
-# branch (det form for distinct, Delta^2 form for all-equal), two batches
+# spectrum, samples, seed -> (mean, stderr) of z_mc_eigen at g = 0.1, N the
+# spectrum's length: the det form at N = 2, 3 and 4 (one to three
+# elimination steps) and the Delta^2 form for all-equal, two batches each
 EIGEN_MC_PINS = {
+    ((1.0, 1.1), 70_000, 21): (3.3237351762857728, 0.013951321403448201),
     ((1.0, 1.1, 1.2), 70_000, 31): (6.299947086537633, 0.05984180210834716),
+    ((1.0, 1.1, 1.2, 1.3), 70_000, 41): (9.717598292766564, 0.2081296911836936),
     ((1.0, 1.0, 1.0), 70_000, 32): (8.61013819004862, 0.08847615017655631),
 }
 
@@ -236,7 +239,7 @@ EIGEN_MC_PINS = {
 @pytest.mark.parametrize("key", sorted(EIGEN_MC_PINS))
 def test_eigen_mc_seeded_outputs_pinned(key):
     e, samples, seed = key
-    mean, se = z_mc_eigen(KineticSpectrum(3, e, 0.1), samples, seed)
+    mean, se = z_mc_eigen(KineticSpectrum(len(e), e, 0.1), samples, seed)
     want_mean, want_se = EIGEN_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert se == pytest.approx(want_se, rel=1e-12)
