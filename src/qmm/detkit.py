@@ -180,6 +180,44 @@ def _det_exact(m):
     return det
 
 
+def det_rows(rows):
+    """Determinant of a square matrix given as rows of same-shape finite arrays.
+
+    rows[k][l] holds entry (k, l) at every point of a leading shape (0-d
+    for one matrix); the result has that shape.  Gaussian elimination with
+    partial pivoting runs elementwise over the leading shape, so a batch of
+    small matrices costs O(n^3) array operations instead of one LAPACK call
+    per matrix.  Pivoting keeps every multiplier at most 1 in magnitude, so
+    a tiny (even subnormal) pivot cannot overflow, and a zero pivot (a
+    singular point) gives det 0 without dividing by it.  The lists in rows
+    are the work space: their entries are replaced by the elimination's
+    own arrays, which it updates in place; the arrays passed in are only
+    read.
+    """
+    n = len(rows)
+    det = np.ones(np.shape(rows[0][0]))
+    flip = False
+    for c in range(n):
+        for r in range(c + 1, n):
+            swap = np.abs(rows[r][c]) > np.abs(rows[c][c])
+            flip = flip ^ swap
+            keep = ~swap
+            # blending finite entries by weights 0 and 1 is exact, and cheaper
+            # than np.where's per-element branch on a mask that is half set
+            for l in range(c, n):
+                a, b = rows[c][l], rows[r][l]
+                rows[c][l] = a * keep + b * swap
+                rows[r][l] = b * keep + a * swap
+        piv = rows[c][c]
+        det *= piv
+        piv = np.where(piv == 0.0, 1.0, piv)  # zero only over a zero column
+        for r in range(c + 1, n):
+            rows[r][c] /= piv  # the multiplier; the entry is not read again
+            for l in range(c + 1, n):
+                rows[r][l] -= rows[r][c] * rows[c][l]
+    return np.where(flip, -det, det)[()]
+
+
 # ---------------------------------------------------------------------------
 # closed-form rational determinants
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .detkit import vandermonde_det
+from .detkit import det_rows, vandermonde_det
 from .numkit import LogValue, mc_mean
 from .orthopoly import quartic_r_sequence
 
@@ -146,30 +146,34 @@ def eigen_integrand(spec: KineticSpectrum, lam):
     column), mirroring the paired exponential cancellation of the
     two-eigenvalue case.
     """
-    n = spec.n
-    e = np.asarray(spec.e)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1:] != (n,):
+    if lam.shape[-1:] != (spec.n,):
         raise ValueError("need one eigenvalue per index")
+    cols = list(np.moveaxis(lam, -1, 0))  # one leading-shape array per eigenvalue
+    return _eigen_integrand_cols(spec, cols, [c * c for c in cols])
+
+
+def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
+    """eigen_integrand from the eigenvalue columns and their squares sq."""
     de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
-    cols = list(np.moveaxis(lam, -1, 0))  # one leading-shape array per eigenvalue
     scale = reduce(np.maximum, map(np.abs, cols), 1.0)
-    sq = lam * lam
-    mat = np.exp(-e[:, None] * sq[..., None, :])
+    # the kernel transposed, one row per eigenvalue: row l is exp(-e_k lam_l^2)
+    mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
-    for nn in range(1, n):
+    for nn in range(1, spec.n):
         hit = False
         for m in range(nn):
             s = cols[m] + cols[nn]
             pole = np.abs(s) < _COLLISION_RTOL * scale
             denom = denom * np.where(pole, 1.0, s)
             hit = hit | pole
-        # limit of column nn paired with a 1/(lam_m + lam_nn) pole
-        mat[..., nn] *= np.where(hit[..., None], -2.0 * e * cols[nn][..., None], 1.0)
-    gauss = np.exp(-spec.g * (sq * sq).sum(axis=-1))
-    return vandermonde_det(cols) * np.linalg.det(mat) * gauss / (denom * de)
+        # limit of row nn paired with a 1/(lam_m + lam_nn) pole
+        mat[nn] = [np.where(hit, -2.0 * ek * cols[nn] * x, x) for ek, x in zip(spec.e, mat[nn])]
+    det = det_rows(mat)  # before the other factors: its work space sets the peak
+    gauss = np.exp(-spec.g * sum(s * s for s in sq))
+    return vandermonde_det(cols) * det * gauss / (denom * de)
 
 
 def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
@@ -209,12 +213,13 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
         sign = (-1.0) ** (n * (n - 1) // 2)
 
     def weights(rng, m):
-        lam = rng.normal(0.0, sigma, (m, n))
-        log_q = (n / 2.0) * math.log(emin / math.pi) - emin * (lam**2).sum(axis=1)
+        cols = list(rng.normal(0.0, sigma, (m, n)).T)
+        sq = [c * c for c in cols]
+        log_q = (n / 2.0) * math.log(emin / math.pi) - emin * sum(sq)
         if not all_equal:
-            return eigen_integrand(spec, lam) * np.exp(-log_q)
-        vdm = vandermonde_det(list(lam.T))
-        ln_f = -(e[0] * (lam**2).sum(axis=1) + spec.g * (lam**4).sum(axis=1))
+            return _eigen_integrand_cols(spec, cols, sq) * np.exp(-log_q)
+        vdm = vandermonde_det(cols)
+        ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)
 
     mean, se = mc_mean(weights, samples, seed)
@@ -268,10 +273,14 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
     sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])
 
     def weights(rng, m):
-        # draw order diag, re, im keeps every seeded estimate unchanged
-        diag = rng.normal(0.0, 1.0, (m, n)) * sd_diag
-        re = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
-        im = rng.normal(0.0, 1.0, (m, len(pairs))) * sd_off
+        # one draw sliced in the order diag, re, im: the same stream as three
+        # normal(0, 1) draws, so every seeded estimate is unchanged
+        z = rng.standard_normal(m * (n + 2 * len(pairs)))
+        diag = z[: m * n].reshape(m, n)
+        re, im = z[m * n :].reshape(2, m, len(pairs))
+        diag *= sd_diag
+        re *= sd_off
+        im *= sd_off
         return np.exp(-spec.g * _trace_x4(n, diag, re, im))
 
     mean, se = mc_mean(weights, samples, seed)
@@ -324,16 +333,15 @@ def hciz_value(x, y, t: float) -> float:
 def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float]:
     """Haar MC over U(2) of exp(t Tr(X U* Y U)) in Euler-angle form.
 
-    For diagonal X, Y only |U_11|^2 enters; under Haar on U(2) it is
-    uniform on [0,1] (theta drawn with the sin(2 theta) density, phases
-    drop out).
+    For diagonal X, Y only p = |U_11|^2 = cos^2 theta enters (the phases
+    drop out).  Under Haar on U(2) theta has the sin(2 theta) density, so
+    sin^2 theta is uniform on [0,1] and p = 1 - u for a uniform draw u.
     """
     if len(x) != 2 or len(y) != 2:
         raise ValueError("Haar cross-check implemented for N = 2")
 
     def weights(rng, m):
-        theta = np.arcsin(np.sqrt(rng.random(m)))
-        p = np.cos(theta) ** 2
+        p = 1.0 - rng.random(m)
         return np.exp(
             t
             * (

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qmm.detkit import (
     NodeSet,
     beta_det,
     cauchy_binet_det,
+    det_rows,
     exp_det_factorization,
     inverse_vandermonde,
     perturbation_validity,
@@ -128,6 +130,56 @@ class TestCauchyBinet:
         from qmm.detkit import _det_exact
 
         assert cauchy_binet_det(a, b) == _det_exact(ab)
+
+
+def _rows(a):
+    """(..., n, n) array -> rows of leading-shape views, as det_rows takes them."""
+    n = a.shape[-1]
+    return [[a[..., k, l] for l in range(n)] for k in range(n)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDetRows:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_batch_against_lapack(self, n):
+        a = np.random.default_rng(n).normal(size=(400, n, n))
+        np.testing.assert_allclose(det_rows(_rows(a)), np.linalg.det(a), rtol=1e-10, atol=1e-13)
+
+    def test_permutation_sign(self):
+        perms = list(permutations(range(4)))
+        a = np.zeros((len(perms), 4, 4))
+        for i, p in enumerate(perms):
+            a[i, range(4), p] = 1.0
+        sign = [(-1) ** sum(p[i] > p[j] for i, j in combinations(range(4), 2)) for p in perms]
+        np.testing.assert_array_equal(det_rows(_rows(a)), sign)
+
+    def test_zero_column_gives_exact_zero(self):
+        a = np.random.default_rng(7).normal(size=(100, 4, 4))
+        a[:, :, 2] = 0.0
+        assert np.all(det_rows(_rows(a)) == 0.0)
+
+    def test_equal_columns_give_zero(self):
+        a = np.random.default_rng(8).normal(size=(100, 4, 4))
+        a[:, :, 3] = a[:, :, 1]
+        d = det_rows(_rows(a))
+        assert np.all(np.isfinite(d))
+        assert np.abs(d).max() < 1e-13
+
+    def test_batch_equals_per_point_and_input_is_only_read(self):
+        a = np.random.default_rng(9).normal(size=(60, 3, 3))
+        before = a.copy()
+        batch = det_rows(_rows(a))
+        np.testing.assert_array_equal(batch, [det_rows(_rows(m)) for m in a])
+        np.testing.assert_array_equal(a, before)
+
+    def test_subnormal_pivot_does_not_overflow(self):
+        # a pivot-row division by 1e-320 would overflow; the multiplier is 0.5
+        assert det_rows([[1e-320, 1.0], [5e-321, 1.0]]) == 5e-321
+
+    def test_scalar_input(self):
+        d = det_rows([[2.0, 1.0], [1.0, 3.0]])
+        assert np.ndim(d) == 0 and d == 5.0
+        assert det_rows([[np.array(0.0), np.array(1.0)], [np.array(1.0), np.array(3.0)]]) == -1.0
 
 
 class TestClosedFormDets:

@@ -340,7 +340,15 @@ from hypothesis import strategies as st
 _lam = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEigenIntegrandProperties:
+    def test_subnormal_collision_is_finite(self):
+        # 0 + 5e-324 is a collision, so the second eigenvalue's kernel entries
+        # become subnormal derivative ones: a near-singular kernel whose
+        # determinant must come out finite and without a warning
+        spec = KineticSpectrum(3, (0.9, 1.2, 1.6), 0.05)
+        assert math.isfinite(eigen_integrand(spec, (0.0, 5e-324, 0.37)))
+
     @settings(max_examples=60, deadline=None)
     @given(_lam, _lam, st.integers(0, 2))
     def test_finite_at_forced_collisions(self, l1, l3, which):
