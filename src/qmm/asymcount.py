@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .counting import RowSumSpec
-from .numkit import LogValue
+from .numkit import LogValue, power_sums
 
 DEFAULT_OMEGA = 0.1
 
@@ -23,9 +23,7 @@ class AsymptoticCount:
     value: LogValue
     lam: float
     moments: tuple[float, float, float]  # y2, y3, y4
-    flagged: bool
-    max_deviation: float  # max_j |t_j - lam (N-1)|
-    window: float  # lam N^(1/2 + omega)
+    flagged: bool  # max_j |t_j - lam (N-1)| > lam N^(1/2 + omega)
 
 
 def lambda_star(spec: RowSumSpec) -> float:
@@ -57,9 +55,7 @@ def asymptotic_count(
     n = spec.n
     x = spec.x
     dev = [tj - lam * (n - 1) for tj in spec.t]
-    y2 = sum(d**2 for d in dev)
-    y3 = sum(d**3 for d in dev)
-    y4 = sum(d**4 for d in dev)
+    _, _, y2, y3, y4 = power_sums(dev, 4)
 
     ll = lam * (lam + 1.0)
     ln = 0.5 * math.log(2.0)
@@ -73,15 +69,11 @@ def asymptotic_count(
     ln += -(3.0 * lam**2 + 3.0 * lam + 1.0) * y4 / (12.0 * lam**3 * (lam + 1.0) ** 3 * n**3)
     ln += y2**2 / (4.0 * lam**2 * (lam + 1.0) ** 2 * n**4)
 
-    window = lam * n ** (0.5 + omega)
-    max_dev = max(abs(d) for d in dev)
     return AsymptoticCount(
         value=LogValue.from_log(ln),
         lam=lam,
         moments=(y2, y3, y4),
-        flagged=max_dev > window,
-        max_deviation=max_dev,
-        window=window,
+        flagged=max(abs(d) for d in dev) > lam * n ** (0.5 + omega),
     )
 
 

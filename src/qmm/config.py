@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .counting import DEFAULT_STATE_CAP
+
 ENV_PREFIX = "QMM_"
 
 
@@ -18,7 +20,7 @@ class RunConfig:
     seed: int = 42
     mc_samples: int = 100_000
     output_format: str = "text"  # text | json | csv
-    state_cap: int = 200_000_000
+    state_cap: int = DEFAULT_STATE_CAP
 
     def override(self, **kwargs) -> "RunConfig":
         clean = {k: v for k, v in kwargs.items() if v is not None}

@@ -1,5 +1,6 @@
 """Determinant identities: Vandermonde machinery, the exp-kernel
-factorization, Cauchy-Binet, and the two closed-form rational determinants.
+factorization and its ratio (the unitary-group integral), Cauchy-Binet,
+and the two closed-form rational determinants.
 
 Exact rational arithmetic where the identities are exact (Beta and
 shifted-factorial determinants, Cauchy-Binet on rational input); mpmath
@@ -91,6 +92,43 @@ def vandermonde_matrix(nodes: NodeSet) -> np.ndarray:
 # exp-kernel factorization
 
 
+def _mp_nodes(x, y):
+    """Both node sets as lists of mpmath numbers; NodeSets or plain sequences."""
+
+    def convert(nodes):
+        vals = nodes.x if isinstance(nodes, NodeSet) else nodes
+        return [mp.mpc(v) if isinstance(v, complex) else mp.mpf(v) for v in vals]
+
+    xs, ys = convert(x), convert(y)
+    if len(ys) != len(xs):
+        raise ValueError("node sets must have equal size")
+    return xs, ys
+
+
+def _exp_kernel(xs, ys, c, pair=None):
+    """Rows e^(c x_k y_l) and the factored form c^binom(n,2) Delta(x) Delta(y) / prod_{m<n} m!.
+
+    With pair = (i, j), column j holds the divided difference
+    e^(c x y_i) expm1(c x h) / h, h = y_j - y_i (c x e^(c x y_i) at h = 0),
+    and Delta(y) drops its factor h: both sides lose the same factor, so
+    their ratio is unchanged and stays finite as y_j -> y_i.
+    """
+    n = len(xs)
+    rows = [[mp.exp(c * xk * yl) for yl in ys] for xk in xs]
+    if pair is None:
+        dy = vandermonde_det(ys)
+    else:
+        i, j = pair
+        h = ys[j] - ys[i]
+        for xk, row in zip(xs, rows):
+            row[j] = row[i] * (mp.expm1(c * xk * h) / h if h else c * xk)
+        dy = mp.fprod(ys[l] - ys[k] for k, l in combinations(range(n), 2) if (k, l) != pair)
+    fact = c ** (n * (n - 1) // 2) * vandermonde_det(xs) * dy
+    for t in range(n):
+        fact /= mp.factorial(t)
+    return rows, fact
+
+
 def exp_det_factorization(x, y, c=1.0):
     """det exp(c x_k y_l) and its rank-limited factorization.
 
@@ -102,27 +140,35 @@ def exp_det_factorization(x, y, c=1.0):
     determinants cancel to ~8n digits.  Accepts NodeSets or plain
     sequences (coincident nodes are fine here: both sides just vanish).
     """
-    xs_in = x.x if isinstance(x, NodeSet) else tuple(x)
-    ys_in = y.x if isinstance(y, NodeSet) else tuple(y)
-    xs = [mp.mpf(v) if not isinstance(v, complex) else mp.mpc(v) for v in xs_in]
-    ys = [mp.mpf(v) if not isinstance(v, complex) else mp.mpc(v) for v in ys_in]
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError("node sets must have equal size")
-    cc = mp.mpc(c) if isinstance(c, complex) else mp.mpf(c)
-    with mp.workdps(max(30, 12 * n)):
-        m = mp.matrix(n, n)
-        for k in range(n):
-            for l in range(n):
-                m[k, l] = mp.e ** (cc * xs[k] * ys[l])
-        exact = mp.det(m)
-        fact = cc ** (n * (n - 1) // 2) * vandermonde_det(xs) * vandermonde_det(ys)
-        for t in range(n):
-            fact /= mp.factorial(t)
-        exact_f = complex(exact) if isinstance(c, complex) else float(exact)
-        fact_f = complex(fact) if isinstance(c, complex) else float(fact)
+    xs, ys = _mp_nodes(x, y)
+    conv = complex if isinstance(c, complex) else float
+    with mp.workdps(max(30, 12 * len(xs))):
+        rows, fact = _exp_kernel(xs, ys, mp.mpc(c) if conv is complex else mp.mpf(c))
+        exact_f, fact_f = conv(_square_det(rows)), conv(fact)
     window = len(xs) * max(abs(complex(v)) for v in xs) * max(abs(complex(v)) for v in ys)
     return exact_f, fact_f, window < 1.0
+
+
+def exp_kernel_ratio(x, y, c: float) -> float:
+    """exact/factored of exp_det_factorization as one float, real c.
+
+    The closest y pair enters as its divided difference (see _exp_kernel),
+    so one coincident y pair is exact, with no tolerance; c = 0 gives the
+    limit 1.  Raises ValueError for unequal sizes, coincident x nodes or
+    more than one coincident y pair.
+    """
+    xs, ys = _mp_nodes(x, y)
+    n = len(xs)
+    if c == 0:
+        return 1.0
+    if len(set(xs)) < n:
+        raise ValueError("coincident x nodes not supported")
+    pair = min(combinations(range(n), 2), key=lambda p: abs(ys[p[1]] - ys[p[0]]), default=None)
+    with mp.workdps(max(30, 12 * n)):
+        rows, fact = _exp_kernel(xs, ys, mp.mpf(c), pair)
+        if fact == 0:
+            raise ValueError("more than one coincident y pair")
+        return float(_square_det(rows) / fact)
 
 
 def cauchy_binet_det(a, b):
@@ -152,11 +198,20 @@ def _is_exact(rows) -> bool:
 
 
 def _square_det(rows):
+    """Dense determinant: exact on rationals, mp.det on mpmath entries, else float."""
     n = len(rows)
     if n == 0:
         return Fraction(1) if _is_exact(rows) else 1.0
     if _is_exact(rows):
         return _det_exact([[Fraction(v) for v in row] for row in rows])
+    if any(isinstance(v, (mp.mpf, mp.mpc)) for row in rows for v in row):
+        mat = mp.matrix(rows)
+        try:
+            return mp.det(mat)
+        except TypeError:
+            # mpmath's LU raises this, not 0, on a column that is exactly zero
+            # below the diagonal: the matrix is singular
+            return mp.mpf(0)
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
 

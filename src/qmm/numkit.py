@@ -1,9 +1,9 @@
 """Shared asymptotic, combinatorial and Monte Carlo utilities.
 
 Sign-carrying log-space numbers, Stirling approximations, the Lambert-W
-truncation bound, distinct-part partition counts, the symmetric
-pole-sum functions used by the determinant and enumeration modules, and
-the seeded Monte Carlo mean that every sampler runs through.
+truncation bound, distinct-part partition counts, power sums, the
+symmetric pole-sum functions used by the determinant and enumeration
+modules, and the seeded Monte Carlo mean that every sampler runs through.
 """
 
 from __future__ import annotations
@@ -230,7 +230,12 @@ class PartitionTable:
 
 
 # ---------------------------------------------------------------------------
-# symmetric pole sums
+# power sums and symmetric pole sums
+
+
+def power_sums(vals, upto: int) -> list[float]:
+    """[sum v^k for v in vals] for k = 0..upto, each summed in input order."""
+    return [sum(v**k for v in vals) for k in range(upto + 1)]
 
 
 def symmetric_pole_sum(kind: str, p: int, x, z=None):
@@ -247,27 +252,18 @@ def symmetric_pole_sum(kind: str, p: int, x, z=None):
     for i, j in combinations(range(n), 2):
         if x[i] == x[j]:
             raise ValueError("degenerate nodes")
-    if kind == "F":
-        total = 0
-        for k in range(n):
-            term = x[k] ** p
-            for t in range(n):
-                if t != k:
-                    term = term / (x[t] - x[k])
-            total = total + term
-        return total
-    if kind == "G":
-        if z is None:
-            raise ValueError("G requires the shift z")
-        total = 0
-        for k in range(n):
-            term = x[k] ** p
-            for t in range(n):
-                if t != k:
-                    term = term * (x[t] - z) / (x[t] - x[k])
-            total = total + term
-        return total
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in ("F", "G"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "G" and z is None:
+        raise ValueError("G requires the shift z")
+    total = 0
+    for k in range(n):
+        term = x[k] ** p
+        for t in range(n):
+            if t != k:
+                term = (term if kind == "F" else term * (x[t] - z)) / (x[t] - x[k])
+        total = total + term
+    return total
 
 
 def complete_homogeneous(m: int, x) -> Fraction:

@@ -38,7 +38,6 @@ class OrthoTable:
     alpha: tuple[float, ...]
     r: tuple[float, ...]
     h: tuple[float, ...]
-    weight_id: str
 
     def polynomial_coeffs(self, m: int) -> np.ndarray:
         """Monomial coefficients of P_m, ascending order."""
@@ -132,7 +131,6 @@ def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
         alpha=tuple(float(a) for a in alpha),
         r=tuple(float(x) for x in r),
         h=tuple(float(x) for x in h),
-        weight_id="moments",
     )
 
 
@@ -209,7 +207,6 @@ def quartic_r_sequence(n_max: int) -> OrthoTable:
             alpha=tuple(0.0 for _ in range(n_max + 1)),
             r=tuple(float(x) for x in r),
             h=tuple(float(x) for x in h),
-            weight_id="exp(-x^4)",
         )
 
 
@@ -224,11 +221,8 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     table = quartic_r_sequence(max(2 * n, 2))
     with mp.workdps(max(30, 10 * n)):
-        m = mp.matrix(n, n)
-        for k in range(n):
-            for l in range(n):
-                m[k, l] = mp.gamma(mp.mpf(2 * k + 2 * l + 1) / 4)
-        direct = float(mp.det(m))
+        rows = [[mp.gamma(mp.mpf(2 * k + 2 * l + 1) / 4) for l in range(n)] for k in range(n)]
+        direct = float(_square_det(rows))
     via_norms = float(2**n * np.prod([table.h[2 * t] for t in range(n)]))
     return direct, via_norms
 

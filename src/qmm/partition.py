@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .detkit import det_rows, vandermonde_det
-from .numkit import LogValue, mc_mean
+from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
+from .numkit import LogValue, mc_mean, power_sums
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -100,11 +100,7 @@ def z_weak_expanded(spec: KineticSpectrum, include_norm_const: bool = True) -> L
         raise ValueError("weak-coupling form needs n >= 2")
     xi = spec.xi
     eps = spec.eps_tilde
-    s2 = sum(x**2 for x in eps)
-    s3 = sum(x**3 for x in eps)
-    s4 = sum(x**4 for x in eps)
-    s5 = sum(x**5 for x in eps)
-    s6 = sum(x**6 for x in eps)
+    _, _, s2, s3, s4, s5, s6 = power_sums(eps, 6)
     ln = 0.5 * math.log((n - 1) / n) if include_norm_const else 0.0
     ln += sum(0.5 * math.log(math.pi / em) for em in spec.e)
     ln += (n * (n - 1) // 2) * math.log(math.pi / (2.0 * xi))
@@ -294,40 +290,12 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
 def hciz_value(x, y, t: float) -> float:
     """(prod m!) t^(-binom(N,2)) det(e^(t x_k y_l)) / (Delta(x) Delta(y)).
 
-    A single near-coincident pair in y is resolved by the column-derivative
-    limit; anything more degenerate is rejected.  Accepts NodeSets or
+    The exp-kernel ratio detkit.exp_kernel_ratio: a single coincident pair
+    in y is resolved exactly by its divided difference, anything more
+    degenerate (or coincident x) raises ValueError.  Accepts NodeSets or
     plain sequences.
     """
-    xs = [float(v) for v in (x.x if hasattr(x, "x") else x)]
-    ys = [float(v) for v in (y.x if hasattr(y, "x") else y)]
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError("spectra must have equal length")
-    if t == 0:
-        return 1.0
-    scale_x = max(max(abs(v) for v in xs), 1e-30)
-    scale_y = max(max(abs(v) for v in ys), 1e-30)
-    for i, j in combinations(range(n), 2):
-        if abs(xs[i] - xs[j]) < 1e-10 * scale_x:
-            raise ValueError("coincident x nodes not supported")
-    pair = None
-    for i, j in combinations(range(n), 2):
-        if abs(ys[i] - ys[j]) < 1e-7 * scale_y:
-            if pair is not None:
-                raise ValueError("more than one coincident y pair")
-            pair = (i, j)
-    mat = np.exp(t * np.outer(np.array(xs), np.array(ys)))
-    dy = 1.0
-    for i, j in combinations(range(n), 2):
-        if pair is not None and (i, j) == pair:
-            continue
-        dy *= ys[j] - ys[i]
-    if pair is not None:
-        i, j = pair
-        mat[:, j] = t * np.array(xs) * np.exp(t * np.array(xs) * ys[j])
-    dx = vandermonde_det(xs)
-    pref = math.prod(math.factorial(m) for m in range(n))
-    return pref * t ** (-(n * (n - 1) // 2)) * float(np.linalg.det(mat)) / (dx * dy)
+    return exp_kernel_ratio(x, y, t)
 
 
 def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float]:
@@ -359,10 +327,6 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
 # free theory via the polytope volume vs direct expansion
 
 
-def _power_sums(eps, upto: int) -> list[float]:
-    return [sum(x**k for x in eps) for k in range(upto + 1)]
-
-
 def polytope_route_correction(eps) -> float:
     """log-correction of the polytope-factorised free theory.
 
@@ -371,8 +335,7 @@ def polytope_route_correction(eps) -> float:
     """
     eps = list(eps)
     n = len(eps)
-    s = _power_sums(eps, 4)
-    s2, s3, s4 = s[2], s[3], s[4]
+    _, _, s2, s3, s4 = power_sums(eps, 4)
     ln = (n - 2) / 8.0 * s2 - (n - 6) / 24.0 * s3 + n / 64.0 * s4
     ln += 3.0 / 64.0 * s2 * s2 - 1.0 / 16.0 * s2 * s3 + 7.0 / 128.0 * s2 * s4
     ln += 3.0 / 128.0 * s3 * s3 - 5.0 / 128.0 * s3 * s4
@@ -384,8 +347,7 @@ def direct_route_correction(eps) -> float:
     """log-correction of the pairwise-expanded free theory (same reference)."""
     eps = list(eps)
     n = len(eps)
-    s = _power_sums(eps, 6)
-    s2, s3, s4, s5, s6 = s[2], s[3], s[4], s[5], s[6]
+    _, _, s2, s3, s4, s5, s6 = power_sums(eps, 6)
     ln = (n - 2) / 8.0 * s2 - (n - 4) / 24.0 * s3 + (n - 8) / 64.0 * s4
     ln += 3.0 / 64.0 * s2 * s2 - (n - 16) / 160.0 * s5 - 1.0 / 16.0 * s2 * s3
     ln += (n - 32) / 384.0 * s6 + 5.0 / 128.0 * s2 * s4 + 5.0 / 96.0 * s3 * s3

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import LogValue, mc_mean
+from .numkit import LogValue, mc_mean, power_sums
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,6 @@ class DiagonalSpec:
     @property
     def u(self) -> tuple[float, ...]:
         return tuple(1.0 - hj for hj in self.h)
-
-    @property
-    def dimension(self) -> int:
-        return self.n * (self.n - 3) // 2
 
 
 def polytope_basis(n: int) -> list[np.ndarray]:
@@ -215,9 +211,7 @@ def asymptotic_volume_rowsum(u) -> LogValue:
     if big_s <= 0:
         raise ValueError("degenerate all-identity corner: sum u must be positive")
     c = [uj - big_s / n for uj in u]
-    m2 = sum(x**2 for x in c)
-    m3 = sum(x**3 for x in c)
-    m4 = sum(x**4 for x in c)
+    _, _, m2, m3, m4 = power_sums(c, 4)
     nm1 = n - 1.0
     ln = 0.5 * math.log(2.0) + 7.0 / 6.0
     ln += (n * (n - 1) // 2) * math.log(math.e * big_s / (n * nm1))

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 PEARCEY_CUTOFF = 12.0  # exp(-12^4) tail, far below any tolerance
 BOUNDARY_TOL = 1e-9
@@ -31,6 +29,8 @@ def laplace_peak(f, interval: tuple[float, float], n: float) -> float:
     The caller brackets the maximum; raises if the optimiser lands on the
     boundary or the curvature is not negative.
     """
+    from scipy.optimize import minimize_scalar
+
     a, b = interval
     res = minimize_scalar(lambda t: -f(t), bounds=(a, b), method="bounded")
     x0 = float(res.x)
@@ -111,6 +111,8 @@ def saddle_shift_root(a, b, c, d) -> complex:
 
 def quartic_gauss_direct(a, b, c, d, cutoff: float | None = None) -> complex:
     """Adaptive-quadrature oracle for the variant integrals."""
+    from scipy.integrate import quad
+
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if cutoff is None:
         decay = max(b.real, 0.0) + max(d.real, 0.0)
@@ -161,6 +163,8 @@ def k_series(n: int, mu: float, terms: int = 400) -> float:
 
 def k_quadrature(n: int, mu: float) -> float:
     """Direct quadrature of int_0^inf lam^(n-1/2) e^(-lam - lam^2/mu)."""
+    from scipy.integrate import quad
+
     if mu <= 0:
         return 0.0
     return quad(
@@ -186,7 +190,6 @@ class PearceyPoint:
 @dataclass(frozen=True)
 class SaddleSet:
     saddles: tuple[complex, ...]  # in lambda, on/off the imaginary axis
-    second_derivatives: tuple[complex, ...]
     middle: complex | None  # the axis saddle used by the one-contour formula
 
 
@@ -242,18 +245,15 @@ def pearcey_saddles(a: float, b: float) -> SaddleSet:
         rcubed = complex(q) - cmath.sqrt(complex(disc))
     if abs(rcubed) < 1e-300:
         # a = b = 0: triple saddle at the origin
-        saddles = (0j, 0j, 0j)
-        curv = (0j, 0j, 0j)
-        return SaddleSet(saddles=saddles, second_derivatives=curv, middle=0j)
+        return SaddleSet(saddles=(0j, 0j, 0j), middle=0j)
     r = rcubed ** (1.0 / 3.0)
     xs = []
     for m in range(3):
         w = cmath.exp(2j * cmath.pi * m / 3.0)
         xs.append(r / 3.0 * w + b / (2.0 * r) * w.conjugate())
     saddles = tuple(1j * x for x in xs)
-    # polish with one Newton step and collect curvatures
+    # polish with three Newton steps
     polished = []
-    curv = []
     for lam in saddles:
         for _ in range(3):
             d1 = _phase_derivative(a, b, lam)
@@ -261,13 +261,10 @@ def pearcey_saddles(a: float, b: float) -> SaddleSet:
             if abs(d2) > 1e-12:
                 lam = lam - d1 / d2
         polished.append(lam)
-        curv.append(12.0 * lam**2 + 2.0 * b)
     middle = None
     if 8.0 * b**3 >= 27.0 * a**2:
         middle = polished[2]
-    return SaddleSet(
-        saddles=tuple(polished), second_derivatives=tuple(curv), middle=middle
-    )
+    return SaddleSet(saddles=tuple(polished), middle=middle)
 
 
 def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
@@ -277,6 +274,8 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
     exp(-i a lam) is handled with weighted quadrature.  Real for even k,
     purely imaginary for odd k.
     """
+    from scipy.integrate import quad
+
     env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
     limit = 100 + 30 * max(0, int(abs(a) / (2 * math.pi)))
     if k % 2 == 0:

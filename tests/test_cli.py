@@ -4,6 +4,7 @@ import math
 import pytest
 
 from qmm.cli import main
+from qmm.counting import DEFAULT_STATE_CAP
 from qmm.config import RunConfig, load_config
 
 
@@ -11,6 +12,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.seed == 42 and cfg.output_format == "text"
+        assert cfg.state_cap == DEFAULT_STATE_CAP
 
     def test_file_and_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"

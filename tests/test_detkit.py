@@ -110,6 +110,18 @@ class TestCauchyBinet:
         direct = ab[0][0] * ab[1][1] - ab[0][1] * ab[1][0]
         assert cauchy_binet_det(a, b) == direct
 
+    def test_mpmath_entries_with_singular_minors(self):
+        # equal first columns: minors over columns {0, 1, k} are exactly singular
+        import mpmath as mp
+
+        a = [[1, 1, 2, 3], [2, 2, 5, 1], [3, 3, 1, 4]]
+        b = [[1, 0, 2], [0, 1, 1], [2, 1, 0], [1, 3, 1]]
+        exact = cauchy_binet_det([[Fraction(v) for v in r] for r in a],
+                                 [[Fraction(v) for v in r] for r in b])
+        got = cauchy_binet_det([[mp.mpf(v) for v in r] for r in a],
+                               [[mp.mpf(v) for v in r] for r in b])
+        assert exact == -420 and got == pytest.approx(-420.0, rel=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 4),
@@ -281,6 +293,10 @@ class TestExpDetDegenerate:
         exact, fact, _ = exp_det_factorization((0.1, 0.2, 0.3), (0.0, 0.0, 0.0), 1.0)
         assert exact == pytest.approx(0.0, abs=1e-30)
         assert fact == pytest.approx(0.0, abs=1e-30)
+
+    def test_one_coincident_pair_gives_zeros(self):
+        # two equal columns: both sides vanish exactly
+        assert exp_det_factorization((0.1, 0.2, 0.3), (0.4, 0.4, 0.7), 2.5)[:2] == (0.0, 0.0)
 
 
 class TestComplexNodes:

@@ -154,6 +154,20 @@ class TestPoleSums:
         with pytest.raises(ValueError, match="degenerate"):
             numkit.symmetric_pole_sum("F", 1, (1.0, 1.0, 3.0))
 
+    def test_g_needs_shift(self):
+        with pytest.raises(ValueError, match="shift z"):
+            numkit.symmetric_pole_sum("G", 0, (1.0, 2.0))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            numkit.symmetric_pole_sum("H", 0, (1.0, 2.0), z=0.5)
+
+    def test_g_matches_written_out_sum(self):
+        # two nodes: x_0^p (x_1 - z)/(x_1 - x_0) + x_1^p (x_0 - z)/(x_0 - x_1)
+        x0, x1, z, p = Fraction(1, 3), Fraction(5, 2), Fraction(-2, 7), 3
+        expect = x0**p * (x1 - z) / (x1 - x0) + x1**p * (x0 - z) / (x0 - x1)
+        assert numkit.symmetric_pole_sum("G", p, (x0, x1), z=z) == expect
+
     @settings(max_examples=40)
     @given(
         st.lists(st.integers(-30, 30), min_size=2, max_size=5, unique=True),
@@ -167,6 +181,11 @@ class TestPoleSums:
         got = numkit.symmetric_pole_sum("F", n - 1 + m, x)
         expect = Fraction(-1) ** (n - 1) * numkit.complete_homogeneous(m, x)
         assert got == expect
+
+
+def test_power_sums():
+    assert numkit.power_sums([1, 2, 3], 3) == [3, 6, 14, 36]
+    assert numkit.power_sums([], 2) == [0, 0, 0]
 
 
 class TestCompositionIdentity:

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from qmm.detkit import exp_det_factorization, vandermonde_det
 from qmm.partition import (
     KineticSpectrum,
     direct_route_correction,
@@ -296,6 +298,29 @@ class TestHciz:
     def test_too_degenerate_rejected(self):
         with pytest.raises(ValueError):
             hciz_value((0.0, 1.0, 2.0), (0.5, 0.5, 0.5), 1.0)
+
+    def test_coincident_x_rejected(self):
+        with pytest.raises(ValueError, match="coincident x"):
+            hciz_value((0.0, 1.0, 1.0), (0.2, 0.5, 0.9), 1.0)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_exp_kernel_ratio(self, n):
+        # the exp-kernel table's nodes (k+1) n^-1.75: the ratio is 1.13137 at n = 7
+        x = tuple((k + 1) * n**-1.75 for k in range(n))
+        exact, fact, _ = exp_det_factorization(x, x, 1.0)
+        assert hciz_value(x, x, 1.0) == pytest.approx(exact / fact, rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-7, 0.0])
+    def test_close_y_pair_matches_mpmath(self, gap):
+        x, y, t = (0.0, 1.0, 2.0), (0.2, 0.6, 0.6 + gap), 1.3
+        # oracle: the defining ratio at 50 digits, prod m! = 2 at N = 3;
+        # an exact pair is opened to 1e-30
+        with mp.workdps(50):
+            xs, ys, tt = [mp.mpf(v) for v in x], [mp.mpf(v) for v in y], mp.mpf(t)
+            ys[2] += 0 if gap else mp.mpf("1e-30")
+            mat = mp.matrix([[mp.exp(tt * a * b) for b in ys] for a in xs])
+            ref = 2 * mp.det(mat) / (tt**3 * vandermonde_det(xs) * vandermonde_det(ys))
+        assert hciz_value(x, y, t) == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestFreeTheoryRoutes:

@@ -1,5 +1,8 @@
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +230,13 @@ class TestDegenerateCases:
         assert d.real == pytest.approx(math.gamma(0.25) / 2, rel=1e-10)
         with pytest.raises(ValueError, match="coalesce"):
             pearcey_saddle(0.0, 0.0, 0)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that call it, not by `import qmm`
+    import qmm
+
+    src = str(Path(qmm.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import qmm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
