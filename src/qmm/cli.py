@@ -36,27 +36,35 @@ def _emit(payload: dict, fmt: str) -> str:
     return "\n".join(f"{k} = {payload[k]}" for k in sorted(payload))
 
 
+def _parse_list(raw: str, kind):
+    try:
+        return tuple(kind(v) for v in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__}s, got {raw!r}")
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
+    return _parse_list(raw, float)
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(","))
+    return _parse_list(raw, int)
 
 
 def cmd_count(args, cfg: RunConfig) -> tuple[int, str]:
-    spec = counting.RowSumSpec(args.n, _parse_ints(args.t))
+    spec = counting.RowSumSpec(args.n, args.t)
     if args.total:
         value = counting.count_total(args.n, spec.x)
     else:
         value = counting.count_row_sums(spec, state_cap=cfg.state_cap)
     if cfg.output_format == "text":
         return 0, str(value)
-    return 0, _emit({"n": args.n, "t": args.t, "count": str(value)}, cfg.output_format)
+    t = ",".join(map(str, args.t))
+    return 0, _emit({"n": args.n, "t": t, "count": str(value)}, cfg.output_format)
 
 
 def cmd_asym(args, cfg: RunConfig) -> tuple[int, str]:
-    spec = counting.RowSumSpec(args.n, _parse_ints(args.t))
+    spec = counting.RowSumSpec(args.n, args.t)
     res = asymcount.asymptotic_count(spec, lam=args.lam, omega=args.omega)
     payload = {
         "log_value": res.value.log_abs,
@@ -72,8 +80,7 @@ def cmd_asym(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_volume(args, cfg: RunConfig) -> tuple[int, str]:
-    h = _parse_floats(args.h)
-    spec = polytope.DiagonalSpec(len(h), h)
+    spec = polytope.DiagonalSpec(len(args.h), args.h)
     payload: dict = {"n": spec.n, "chi": spec.chi}
     if spec.n == 3:
         payload["exact"] = polytope.exact_volume_n3(spec)
@@ -132,7 +139,7 @@ def cmd_pearcey(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[int, str]:
-    spec = partition.KineticSpectrum(len(_parse_floats(args.e)), _parse_floats(args.e), args.g)
+    spec = partition.KineticSpectrum(len(args.e), args.e, args.g)
     payload = {
         "log_z_free": partition.z_free(spec).log_abs,
         "z_free": partition.z_free(spec).value,
@@ -183,18 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("count", help="exact matrix count for given row sums")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", required=True, help="comma-separated row sums")
+    p.add_argument("--t", type=_parse_ints, required=True, help="comma-separated row sums")
     p.add_argument("--total", action="store_true", help="total count at this entry sum")
 
     p = add_parser("asym", help="asymptotic count and validity diagnostics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", type=_parse_ints, required=True)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--omega", type=float, default=asymcount.DEFAULT_OMEGA)
     p.add_argument("--exact", action="store_true", help="also run the exact oracle")
 
     p = add_parser("volume", help="diagonal subpolytope volumes")
-    p.add_argument("--h", required=True, help="comma-separated diagonal entries")
+    p.add_argument("--h", type=_parse_floats, required=True,
+                   help="comma-separated diagonal entries")
     p.add_argument("--mc", action="store_true")
 
     p = add_parser("orthopoly", help="quartic-weight recursion tables")
@@ -212,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
 
     p = add_parser("partition", help="matrix-model partition functions")
-    p.add_argument("--e", required=True, help="comma-separated kinetic eigenvalues")
+    p.add_argument("--e", type=_parse_floats, required=True,
+                   help="comma-separated kinetic eigenvalues")
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--mc", action="store_true")
     p.add_argument("--zero-kinetic", action="store_true")

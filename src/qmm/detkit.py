@@ -100,6 +100,8 @@ def _mp_nodes(x, y):
         return [mp.mpc(v) if isinstance(v, complex) else mp.mpf(v) for v in vals]
 
     xs, ys = convert(x), convert(y)
+    if not xs:
+        raise ValueError("need at least one node")
     if len(ys) != len(xs):
         raise ValueError("node sets must have equal size")
     return xs, ys
@@ -154,8 +156,8 @@ def exp_kernel_ratio(x, y, c: float) -> float:
 
     The closest y pair enters as its divided difference (see _exp_kernel),
     so one coincident y pair is exact, with no tolerance; c = 0 gives the
-    limit 1.  Raises ValueError for unequal sizes, coincident x nodes or
-    more than one coincident y pair.
+    limit 1.  Raises ValueError for empty or unequal sizes, coincident x
+    nodes or more than one coincident y pair.
     """
     xs, ys = _mp_nodes(x, y)
     n = len(xs)
@@ -198,65 +200,40 @@ def _is_exact(rows) -> bool:
 
 
 def _square_det(rows):
-    """Dense determinant: exact on rationals, mp.det on mpmath entries, else float."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1) if _is_exact(rows) else 1.0
-    if _is_exact(rows):
-        return _det_exact([[Fraction(v) for v in row] for row in rows])
-    if any(isinstance(v, (mp.mpf, mp.mpc)) for row in rows for v in row):
-        mat = mp.matrix(rows)
-        try:
-            return mp.det(mat)
-        except TypeError:
-            # mpmath's LU raises this, not 0, on a column that is exactly zero
-            # below the diagonal: the matrix is singular
-            return mp.mpf(0)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    """Dense determinant of a list of rows by det_rows, on a copy.
 
-
-def _det_exact(m):
-    n = len(m)
-    det = Fraction(1)
-    m = [row[:] for row in m]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1, 1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    int entries become Fractions, so integer and rational input stays
+    exact; the empty matrix has determinant 1.
+    """
+    if not rows:
+        return 1
+    return det_rows([[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows])
 
 
 def det_rows(rows):
-    """Determinant of a square matrix given as rows of same-shape finite arrays.
+    """Determinant of a square matrix given as rows of entries of one field.
 
-    rows[k][l] holds entry (k, l) at every point of a leading shape (0-d
-    for one matrix); the result has that shape.  Gaussian elimination with
-    partial pivoting runs elementwise over the leading shape, so a batch of
-    small matrices costs O(n^3) array operations instead of one LAPACK call
-    per matrix.  Pivoting keeps every multiplier at most 1 in magnitude, so
-    a tiny (even subnormal) pivot cannot overflow, and a zero pivot (a
-    singular point) gives det 0 without dividing by it.  The lists in rows
-    are the work space: their entries are replaced by the elimination's
-    own arrays, which it updates in place; the arrays passed in are only
-    read.
+    Entries are Fractions (exact result), mpmath numbers (at the caller's
+    working precision), float or complex scalars, or finite arrays of one
+    leading shape: rows[k][l] then holds entry (k, l) at every point of
+    that shape (0-d for one matrix) and the result has that shape.
+    Gaussian elimination with partial pivoting runs elementwise over the
+    leading shape, so a batch of small matrices costs O(n^3) array
+    operations instead of one LAPACK call per matrix.  Pivoting keeps
+    every multiplier at most 1 in magnitude, so a tiny (even subnormal)
+    pivot cannot overflow, and a zero pivot (a singular point) gives det 0
+    without dividing by it.  The lists in rows are the work space: their
+    entries are replaced by the elimination's own values, which it
+    updates in place; the arrays passed in are only read.
     """
     n = len(rows)
-    det = np.ones(np.shape(rows[0][0]))
+    det = 1
     flip = False
     for c in range(n):
         for r in range(c + 1, n):
-            swap = np.abs(rows[r][c]) > np.abs(rows[c][c])
+            swap = abs(rows[r][c]) > abs(rows[c][c])
             flip = flip ^ swap
-            keep = ~swap
+            keep = np.logical_not(swap)
             # blending finite entries by weights 0 and 1 is exact, and cheaper
             # than np.where's per-element branch on a mask that is half set
             for l in range(c, n):
@@ -264,8 +241,8 @@ def det_rows(rows):
                 rows[c][l] = a * keep + b * swap
                 rows[r][l] = b * keep + a * swap
         piv = rows[c][c]
-        det *= piv
-        piv = np.where(piv == 0.0, 1.0, piv)  # zero only over a zero column
+        det = det * piv
+        piv = piv + (piv == 0)  # zero only over a zero column
         for r in range(c + 1, n):
             rows[r][c] /= piv  # the multiplier; the entry is not read again
             for l in range(c + 1, n):
@@ -293,7 +270,7 @@ def beta_det(n: int, closed_form: bool = True) -> Fraction:
     beta = lambda a, b: Fraction(
         math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1)
     )
-    return _det_exact([[beta(k, l) for l in range(1, n + 1)] for k in range(1, n + 1)])
+    return _square_det([[beta(k, l) for l in range(1, n + 1)] for k in range(1, n + 1)])
 
 
 def shifted_factorial_det(n: int, closed_form: bool = True) -> Fraction:
@@ -309,7 +286,7 @@ def shifted_factorial_det(n: int, closed_form: bool = True) -> Fraction:
             out /= math.prod(range(2 * t - 1, 0, -2))
         return out
     entry = lambda k, l: Fraction(1, math.factorial(2 * k - l)) if 2 * k >= l else Fraction(0)
-    return _det_exact([[entry(k, l) for l in range(n)] for k in range(n)])
+    return _square_det([[entry(k, l) for l in range(n)] for k in range(n)])
 
 
 # ---------------------------------------------------------------------------

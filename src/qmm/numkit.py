@@ -72,10 +72,6 @@ class LogValue:
         sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
         return LogValue(self.log_abs * k, sign)
 
-    def ratio(self, other: "LogValue") -> float:
-        """exp(log self - log other), sign included."""
-        return (self / other).value
-
 
 # ---------------------------------------------------------------------------
 # seeded Monte Carlo

@@ -138,20 +138,17 @@ def polynomial_from_moments(moments: MomentSeq, n: int):
     """Coefficients of P_n from the bordered Hankel determinant (ascending).
 
     The moment-determinant route, independent of the recursion; used as
-    the uniqueness cross-check.
+    the uniqueness cross-check.  Exact if the moments are integers or
+    Fractions.
     """
-    rho = [float(r) for r in moments.rho]
+    rho = moments.rho
     if len(rho) < 2 * n:
         raise ValueError("need moments rho_0 .. rho_{2n-1}")
-    if n == 0:
-        return np.array([1.0])
-    top = np.array([[rho[i + j] for j in range(n + 1)] for i in range(n)], float)
-    d_prev = np.linalg.det(np.array([[rho[i + j] for j in range(n)] for i in range(n)]))
-    coeffs = np.empty(n + 1)
-    for j in range(n + 1):
-        minor = np.delete(top, j, axis=1)
-        coeffs[j] = (-1.0) ** (n + j) * np.linalg.det(minor) / d_prev
-    return coeffs
+    d_prev = _square_det([[rho[i + j] for j in range(n)] for i in range(n)])
+    minors = [
+        [[rho[i + k] for k in range(n + 1) if k != j] for i in range(n)] for j in range(n + 1)
+    ]
+    return np.array([(-1) ** (n + j) * _square_det(m) / d_prev for j, m in enumerate(minors)])
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,8 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
     """
     from scipy.integrate import quad
 
+    if k < 0:
+        raise ValueError("k must be >= 0")
     env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
     limit = 100 + 30 * max(0, int(abs(a) / (2 * math.pi)))
     if k % 2 == 0:
@@ -300,6 +302,8 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex:
     x2^2 vanishes and the approximation is undefined.  The derivatives
     are taken of the full closed form at high precision.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if 8.0 * b**3 < 27.0 * a**2:
         raise ValueError("middle saddle absent: two-contour region")
     if 8.0 * b**3 == 27.0 * a**2:

@@ -54,6 +54,13 @@ class TestCli:
     def test_usage_error_exit_2(self):
         assert main(["count", "--n", "5", "--badflag", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [["count", "--n", "3", "--t", "a,b"],
+                                      ["volume", "--h", "1,x,2"],
+                                      ["partition", "--e", "1,,2"]])
+    def test_malformed_list_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "expected comma-separated" in capsys.readouterr().err
+
     def test_numeric_failure_exit_1(self, capsys):
         # resource guard trips -> diagnostic on stderr, exit 1
         rc = main(["count", "--n", "10", "--t", ",".join(["40"] * 10)])

@@ -13,6 +13,7 @@ from qmm.detkit import (
     cauchy_binet_det,
     det_rows,
     exp_det_factorization,
+    exp_kernel_ratio,
     inverse_vandermonde,
     perturbation_validity,
     shifted_factorial_det,
@@ -81,6 +82,13 @@ class TestExpDetFactorization:
         exact, fact, _ = exp_det_factorization(x, x, 1j)
         assert abs(exact / fact - 1.0) < 0.2
 
+    @pytest.mark.parametrize("call", [lambda: exp_det_factorization((), ()),
+                                      lambda: exp_kernel_ratio((), (), 1.0)],
+                             ids=["factorization", "ratio"])
+    def test_empty_node_sets_rejected(self, call):
+        with pytest.raises(ValueError, match="need at least one node"):
+            call()
+
     def test_shrinking_nodes_ratio_to_one(self):
         big = NodeSet((0.2, 0.4, 0.6))
         small = NodeSet((0.02, 0.04, 0.06))
@@ -139,9 +147,9 @@ class TestCauchyBinet:
             for i in range(m)
         ]
         # direct rational determinant of the product
-        from qmm.detkit import _det_exact
+        from qmm.detkit import _square_det
 
-        assert cauchy_binet_det(a, b) == _det_exact(ab)
+        assert cauchy_binet_det(a, b) == _square_det(ab)
 
 
 def _rows(a):
@@ -192,6 +200,17 @@ class TestDetRows:
         d = det_rows([[2.0, 1.0], [1.0, 3.0]])
         assert np.ndim(d) == 0 and d == 5.0
         assert det_rows([[np.array(0.0), np.array(1.0)], [np.array(1.0), np.array(3.0)]]) == -1.0
+
+    def test_fraction_hilbert_is_exact(self):
+        d = det_rows([[Fraction(1, k + l + 1) for l in range(5)] for k in range(5)])
+        assert type(d) is Fraction and d == Fraction(1, 266716800000)
+
+    def test_mpmath_hilbert_at_working_precision(self):
+        import mpmath as mp
+
+        with mp.workdps(50):
+            d = det_rows([[mp.mpf(1) / (k + l + 1) for l in range(5)] for k in range(5)])
+            assert abs(d * 266716800000 - 1) < mp.mpf(10) ** -45
 
 
 class TestClosedFormDets:

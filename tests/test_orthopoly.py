@@ -71,6 +71,14 @@ class TestMomentConstruction:
             b = table.polynomial_coeffs(n)
             assert np.allclose(a, b, atol=1e-9)
 
+    def test_bordered_hankel_exact_on_rational_moments(self):
+        # moments 1/(k+1) of [0, 1]: the monic shifted Legendre polynomials
+        mom = MomentSeq(tuple(Fraction(1, k + 1) for k in range(7)))
+        assert list(polynomial_from_moments(mom, 2)) == [Fraction(1, 6), -1, 1]
+        assert list(polynomial_from_moments(mom, 3)) == [
+            Fraction(-1, 20), Fraction(3, 5), Fraction(-3, 2), 1]
+        assert all(type(c) is Fraction for c in polynomial_from_moments(mom, 3))
+
     def test_even_weight_alphas_vanish(self):
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
         table = ops_from_moments(MomentSeq(rho), 6)

@@ -203,6 +203,11 @@ class TestPearceyEval:
         with pytest.raises(ValueError, match="middle saddle absent"):
             pearcey_saddle(1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("func", [pearcey_direct, pearcey_saddle])
+    def test_negative_k_rejected(self, func):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            func(1.0, -1.0, -1)
+
 
 class TestDegenerateCases:
     def test_triple_saddle_at_origin(self):
