@@ -34,6 +34,13 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "known_issue", bool(self.known_issue))
 
+    @property
+    def status(self) -> str:
+        """The verdict as printed: PASS, FAIL (documented) or FAIL."""
+        if self.passed:
+            return "PASS"
+        return "FAIL (documented)" if self.known_issue else "FAIL"
+
 
 def _round_sig(x: float, sig: int) -> float:
     if x == 0:

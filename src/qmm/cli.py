@@ -119,8 +119,8 @@ def cmd_det(args, cfg: RunConfig) -> tuple[int, str]:
         nodes = detkit.NodeSet(tuple((k + 1) * args.n**-1.75 for k in range(args.n)))
         exact, fact, window = detkit.exp_det_factorization(nodes, nodes, 1.0)
         return 0, _emit(
-            {"n": args.n, "exact": exact, "factored": fact, "ratio": exact / fact,
-             "in_window": window},
+            {"n": args.n, "exact": exact, "factored": fact,
+             "ratio": detkit.exp_kernel_ratio(nodes, nodes, 1.0), "in_window": window},
             cfg.output_format,
         )
     return 2, "unknown determinant kind"
@@ -160,8 +160,7 @@ def cmd_verify(args, cfg: RunConfig) -> tuple[int, str]:
     lines = []
     width = max(len(r.clause) for r in results)
     for r in results:
-        status = "PASS" if r.passed else ("FAIL (documented)" if r.known_issue else "FAIL")
-        lines.append(f"[{r.criterion:>2}] {r.clause:<{width}}  {status:<17} "
+        lines.append(f"[{r.criterion:>2}] {r.clause:<{width}}  {r.status:<17} "
                      f"reference: {r.reference} | {r.detail}")
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} clauses passed")

@@ -1,9 +1,9 @@
 """Shared asymptotic, combinatorial and Monte Carlo utilities.
 
-Sign-carrying log-space numbers, Stirling approximations, the Lambert-W
-truncation bound, distinct-part partition counts, power sums, the
-symmetric pole-sum functions used by the determinant and enumeration
-modules, and the seeded Monte Carlo mean that every sampler runs through.
+Log-space numbers, Stirling approximations, the Lambert-W truncation
+bound, distinct-part partition counts, power sums, the symmetric
+pole-sum functions used by the determinant and enumeration modules, and
+the seeded Monte Carlo mean that every sampler runs through.
 """
 
 from __future__ import annotations
@@ -22,55 +22,26 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as (log|x|, sign).
+    """A positive real number stored as its logarithm.
 
     Large products like (1+lambda)^binom(N,2) overflow floats well before
     the final ratios of interest do; all formula evaluators therefore
-    return LogValue.  sign == 0 encodes exact zero (log_abs is ignored).
+    return LogValue.
     """
 
     log_abs: float
-    sign: int
 
     @classmethod
-    def from_value(cls, x: float) -> "LogValue":
-        if x == 0:
-            return cls(float("-inf"), 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    @classmethod
-    def from_log(cls, log_abs: float, sign: int = 1) -> "LogValue":
-        if sign == 0:
-            return cls(float("-inf"), 0)
-        return cls(log_abs, sign)
+    def from_log(cls, log_abs: float) -> "LogValue":
+        return cls(log_abs)
 
     @property
     def value(self) -> float:
-        """Float value; inf on overflow, 0.0 for sign 0."""
-        if self.sign == 0:
-            return 0.0
+        """Float value; inf on overflow."""
         try:
-            return self.sign * math.exp(self.log_abs)
+            return math.exp(self.log_abs)
         except OverflowError:
-            return self.sign * float("inf")
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(float("-inf"), 0)
-        return LogValue(self.log_abs + other.log_abs, self.sign * other.sign)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by zero LogValue")
-        if self.sign == 0:
-            return LogValue(float("-inf"), 0)
-        return LogValue(self.log_abs - other.log_abs, self.sign * other.sign)
-
-    def __pow__(self, k: int) -> "LogValue":
-        if self.sign == 0:
-            return LogValue(float("-inf"), 0) if k > 0 else LogValue(0.0, 1)
-        sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
-        return LogValue(self.log_abs * k, sign)
+            return float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -274,10 +274,12 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
     exp(-i a lam) is handled with weighted quadrature.  Real for even k,
     purely imaginary for odd k.
     """
-    from scipy.integrate import quad
-
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("a and b must be finite")
     if k < 0:
         raise ValueError("k must be >= 0")
+    from scipy.integrate import quad
+
     env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
     limit = 100 + 30 * max(0, int(abs(a) / (2 * math.pi)))
     if k % 2 == 0:
@@ -302,6 +304,8 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex:
     x2^2 vanishes and the approximation is undefined.  The derivatives
     are taken of the full closed form at high precision.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("a and b must be finite")
     if k < 0:
         raise ValueError("k must be >= 0")
     if 8.0 * b**3 < 27.0 * a**2:

@@ -17,8 +17,7 @@ def results():
     out = run_acceptance(RunConfig())
     print()
     for r in out:
-        status = "PASS" if r.passed else ("FAIL (documented)" if r.known_issue else "FAIL")
-        print(f"[criterion {r.criterion:>2}] {status:<17} {r.clause} | {r.detail}")
+        print(f"[criterion {r.criterion:>2}] {r.status:<17} {r.clause} | {r.detail}")
     return out
 
 

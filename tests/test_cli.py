@@ -141,3 +141,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert payload["value"] is None
         assert math.isfinite(payload["log_value"]) and payload["log_value"] > 700
+
+    def test_exp_kernel_det_past_float_underflow(self, capsys):
+        # at n = 20 both determinants underflow to 0.0; the ratio is the
+        # mpmath quotient, not a division of the two floats
+        rc = main(["det", "--kind", "exp-kernel", "--n", "20", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ratio"] == pytest.approx(1.0635709387882695, rel=1e-12)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--e", "nan,1.0"], "kinetic eigenvalues must be positive"),
+        (["--e", "inf,1.0"], "kinetic eigenvalues must be positive"),
+        (["--e", "1.0,1.1", "--g", "nan"], "coupling must be >= 0"),
+    ])
+    def test_partition_non_finite_rejected(self, capsys, argv, message):
+        rc = main(["partition", *argv])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_pearcey_non_finite_rejected(self, capsys):
+        rc = main(["pearcey", "--a", "nan", "--b", "1"])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert captured.err == "error: a and b must be finite\n"

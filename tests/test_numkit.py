@@ -6,38 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmm import numkit
-from qmm.numkit import LogValue
-
-
-class TestLogValue:
-    def test_zero_round_trip(self):
-        z = LogValue.from_value(0.0)
-        assert z.sign == 0 and z.value == 0.0
-
-    @given(st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: abs(x) > 1e-6),
-           st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: abs(x) > 1e-6))
-    def test_product_matches_floats(self, a, b):
-        got = (LogValue.from_value(a) * LogValue.from_value(b)).value
-        assert got == pytest.approx(a * b, rel=1e-12)
-
-    @given(st.floats(min_value=-1e3, max_value=1e3).filter(lambda x: abs(x) > 1e-3),
-           st.floats(min_value=-1e3, max_value=1e3).filter(lambda x: abs(x) > 1e-3))
-    def test_quotient_matches_floats(self, a, b):
-        got = (LogValue.from_value(a) / LogValue.from_value(b)).value
-        assert got == pytest.approx(a / b, rel=1e-12)
-
-    def test_zero_absorbs_products(self):
-        z = LogValue.from_value(0.0) * LogValue.from_value(3.0)
-        assert z.sign == 0
-
-    def test_integer_power_sign(self):
-        v = LogValue.from_value(-2.0)
-        assert (v**3).value == pytest.approx(-8.0)
-        assert (v**2).value == pytest.approx(4.0)
-
-    def test_huge_product_stays_finite_in_log(self):
-        v = LogValue.from_log(800.0) * LogValue.from_log(800.0)
-        assert v.log_abs == pytest.approx(1600.0)
 
 
 class TestStirling:

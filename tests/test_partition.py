@@ -270,6 +270,19 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             z_quad_n2(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1))
 
+    # references: scipy.integrate.cubature over R^2 with rtol=1e-12, atol=0,
+    # computed once with the adaptive-cubature oracle this rule replaced
+    @pytest.mark.parametrize("e,g,ref", [
+        ((0.5, 3.0), 1.0, 0.852373901286),
+        ((1.0, 1.5), 2.0, 0.757916199587),
+        ((0.1, 0.2), 1.0, 2.98027323439),
+        ((1.0, 1.2), 10.0, 0.244597516615),
+    ])
+    def test_strong_coupling_reference(self, e, g, ref):
+        value, err = z_quad_n2(KineticSpectrum(2, e, g))
+        assert abs(value - ref) <= err + 1e-11 * ref
+        assert 0.0 < err < 1e-5 * ref
+
 
 class TestHciz:
     def test_two_by_two_value(self):

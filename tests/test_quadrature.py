@@ -208,6 +208,12 @@ class TestPearceyEval:
         with pytest.raises(ValueError, match="k must be >= 0"):
             func(1.0, -1.0, -1)
 
+    @pytest.mark.parametrize("func", [pearcey_direct, pearcey_saddle])
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_rejected(self, func, a, b):
+        with pytest.raises(ValueError, match="a and b must be finite"):
+            func(a, b, 0)
+
 
 class TestDegenerateCases:
     def test_triple_saddle_at_origin(self):
@@ -243,5 +249,17 @@ def test_import_leaves_scipy_unloaded():
 
     src = str(Path(qmm.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import qmm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_partition_oracle_leaves_scipy_unloaded():
+    # the N = 2 quadrature oracle runs on numpy's Gauss-Hermite nodes
+    import qmm
+
+    src = str(Path(qmm.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qmm; "
+            "from qmm.partition import KineticSpectrum, z_quad_n2; "
+            "z_quad_n2(KineticSpectrum(2, (1.0, 1.1), 0.1)); print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
