@@ -21,7 +21,11 @@ def main() -> None:
     region = pearcey_region(args.a, args.b)
     saddles = pearcey_saddles(args.a, args.b)
     print(f"region: {region.region}  (8b^3 - 27a^2 = {region.discriminant:.6g})")
-    print("saddles:", ", ".join(f"{s:.6g}" for s in saddles.saddles))
+    # rounded to 12 digits (+ 0.0 turns -0.0 into 0.0) and sorted by imaginary,
+    # then real part, so that root-finder order and ~1e-16 noise do not show
+    shown = sorted(((round(s.imag, 12) + 0.0, round(s.real, 12) + 0.0)
+                    for s in saddles.saddles))
+    print("saddles:", ", ".join(f"{complex(re, im):.6g}" for im, re in shown))
     print(f"{'k':>2} {'direct':>14} {'saddle':>14} {'ratio':>7}")
     for k in range(args.kmax + 1):
         direct, saddle = pearcey_eval(args.a, args.b, k)

@@ -370,7 +370,7 @@ def check_10(cfg: RunConfig) -> list[CheckResult]:
     out.append(
         CheckResult(10, "saddles at i, 2i, -3i with residual < 1e-10",
                     "quartic-phase saddle roots", ok_saddle,
-                    f"max |f'| = {res:.1e}, saddles {found}")
+                    f"max |f'| = {res:.1e}, saddles {[round(x, 9) for x in found]}")
     )
     return out
 

@@ -70,7 +70,7 @@ def asymptotic_count(
     ln += y2**2 / (4.0 * lam**2 * (lam + 1.0) ** 2 * n**4)
 
     return AsymptoticCount(
-        value=LogValue.from_log(ln),
+        value=LogValue(ln),
         lam=lam,
         moments=(y2, y3, y4),
         flagged=max(abs(d) for d in dev) > lam * n ** (0.5 + omega),
@@ -101,4 +101,4 @@ def lower_bound(spec: RowSumSpec, lambda_seq, alpha: float) -> LogValue:
         ln += math.log(root / (root - math.sqrt(lams[k] * lams[l])))
     ln += (14.0 * lam**2 + 14.0 * lam - 1.0) / (12.0 * lam * (lam + 1.0))
     ln += -(n ** (1.0 - 2.0 * alpha))
-    return LogValue.from_log(ln)
+    return LogValue(ln)

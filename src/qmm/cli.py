@@ -2,7 +2,7 @@
 
 Output formats: text (default), json (sorted keys, deterministic byte
 stream for identical argv+config), csv (header row).  Exit codes: 0 ok /
-all checks pass, 1 numerical failure, 2 usage error.
+all checks pass, 1 numerical failure, 2 usage error or rejected input.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def cmd_asym(args, cfg: RunConfig) -> tuple[int, str]:
     if args.exact:
         exact = counting.count_row_sums(spec, state_cap=cfg.state_cap)
         payload["exact"] = str(exact)
-        payload["ratio"] = math.exp(res.value.log_abs - math.log(exact))
+        # a zero count (odd total) makes the ratio inf, which JSON writes as null
+        payload["ratio"] = math.exp(res.value.log_abs - math.log(exact)) if exact else math.inf
     return 0, _emit(payload, cfg.output_format)
 
 
@@ -261,7 +262,10 @@ def main(argv=None) -> int:
         return 2
     try:
         code, text = COMMANDS[args.command](args, cfg)
-    except (ValueError, ArithmeticError, counting.InstanceTooLarge) as exc:
+    except ValueError as exc:  # the library rejected its input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, counting.InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text)

@@ -52,16 +52,6 @@ def vandermonde_det(nodes) -> float:
     return out
 
 
-def _elementary_symmetric(vals, upto: int):
-    """e_0..e_upto of vals, same arithmetic as the inputs."""
-    one = Fraction(1) if vals and isinstance(vals[0], (Fraction, int)) else 1.0
-    e = [one] + [one * 0] * upto
-    for v in vals:
-        for d in range(upto, 0, -1):
-            e[d] = e[d] + v * e[d - 1]
-    return e
-
-
 def inverse_vandermonde(nodes: NodeSet) -> np.ndarray:
     """Inverse of V_ij = x_j^(i-1) via elementary symmetric polynomials.
 
@@ -71,14 +61,11 @@ def inverse_vandermonde(nodes: NodeSet) -> np.ndarray:
     n = len(x)
     out = np.empty((n, n), dtype=complex if any(isinstance(v, complex) for v in x) else float)
     for k in range(n):
-        others = [x[t] for t in range(n) if t != k]
-        denom = 1.0
-        for t in range(n):
-            if t != k:
-                denom *= x[t] - x[k]
-        e = _elementary_symmetric(others, n - 1)
-        for i in range(1, n + 1):
-            out[k, i - 1] = (-1.0) ** (i - 1) * e[n - i] / denom
+        others = x[:k] + x[k + 1:]
+        # entry j of np.poly is (-1)^j e_j(others); reversed and divided by
+        # prod(x_k - x_t), it is row k of the formula in the docstring
+        coeffs = np.atleast_1d(np.poly(others))
+        out[k] = coeffs[::-1] / math.prod(x[k] - v for v in others)
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 
 
@@ -30,10 +31,6 @@ class LogValue:
     """
 
     log_abs: float
-
-    @classmethod
-    def from_log(cls, log_abs: float) -> "LogValue":
-        return cls(log_abs)
 
     @property
     def value(self) -> float:
@@ -97,20 +94,11 @@ def stirling_ln_factorial(n: int, order: int = 1) -> float:
     return ln
 
 
-def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Principal branch of w e^w = x for x >= 0, Newton from w0 = ln(1+x)."""
+def lambert_w(x: float) -> float:
+    """Principal branch of w e^w = x for x >= 0."""
     if x < 0:
         raise ValueError("lambert_w implemented for x >= 0 only")
-    if x == 0:
-        return 0.0
-    w = math.log1p(x)
-    for _ in range(max_iter):
-        ew = math.exp(w)
-        step = (w * ew - x) / (ew * (1.0 + w))
-        w -= step
-        if abs(step) <= tol * max(1.0, abs(w)):
-            return w
-    raise RuntimeError("lambert_w did not converge")
+    return float(mp.lambertw(x))
 
 
 #: gamma threshold below which the n-term Taylor truncation of exp(-gamma n)

@@ -64,7 +64,7 @@ def z_free(spec: KineticSpectrum) -> LogValue:
     ln = sum(0.5 * math.log(math.pi / ek) for ek in e)
     for k, l in combinations(range(spec.n), 2):
         ln += math.log(math.pi / (e[k] + e[l]))
-    return LogValue.from_log(ln)
+    return LogValue(ln)
 
 
 def z_weak(spec: KineticSpectrum) -> LogValue:
@@ -85,7 +85,7 @@ def z_weak(spec: KineticSpectrum) -> LogValue:
         ln += 0.5 * math.log(math.pi / em) + (1 - n) * math.log(em)
     ln += (n * (n - 1) // 2) * math.log(math.pi * n / (2.0 * inv_sum))
     ln += -sum(3.0 * spec.g / (4.0 * em * em) for em in e)
-    return LogValue.from_log(ln)
+    return LogValue(ln)
 
 
 def z_weak_expanded(spec: KineticSpectrum, include_norm_const: bool = True) -> LogValue:
@@ -110,7 +110,7 @@ def z_weak_expanded(spec: KineticSpectrum, include_norm_const: bool = True) -> L
     ln += 3.0 * (n - 1) / 10.0 * s5 - (n - 1) / 3.0 * s6
     ln += (n - 1) / (4.0 * n) * s2 * s2 - 0.5 * s2 * s3 + 0.5 * s2 * s4
     ln += 0.25 * s3 * s3 - s2**3 / (6.0 * n)
-    return LogValue.from_log(ln)
+    return LogValue(ln)
 
 
 def z_zero_kinetic(n: int, g: float) -> LogValue:
@@ -127,7 +127,7 @@ def z_zero_kinetic(n: int, g: float) -> LogValue:
     ln += -(n * n / 4.0) * math.log(g)
     ln += math.lgamma(n + 1)
     ln += sum(math.log(table.h[t]) for t in range(n))
-    return LogValue.from_log(ln)
+    return LogValue(ln)
 
 
 # ---------------------------------------------------------------------------

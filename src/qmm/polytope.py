@@ -220,7 +220,7 @@ def asymptotic_volume_rowsum(u) -> LogValue:
     ln += (n * nm1**3) / (3.0 * big_s**3) * m3
     ln += -(n * nm1**4) / (4.0 * big_s**4) * m4
     ln += nm1**4 / (4.0 * big_s**4) * m2**2
-    return LogValue.from_log(ln)
+    return LogValue(ln)
 
 
 def asymptotic_volume(spec: DiagonalSpec) -> LogValue:

@@ -77,11 +77,8 @@ def quartic_gauss_saddle(a, b, c, d, variant: int) -> complex:
     if variant == 2:
         if c == 0:
             raise ValueError("variant 2 needs c != 0")
-        root = cmath.sqrt(4 * b**2 + 12 * a * c)
-        # the branch that stays finite as c -> 0 (near the Gaussian point)
-        r1 = (-2 * b + root) / (6j * c)
-        r2 = (-2 * b - root) / (6j * c)
-        r = min((r1, r2), key=lambda z: abs(z + 1j * a / (2 * b)))
+        # the quadratic's branch nearest the Gaussian point, finite as c -> 0
+        r = saddle_shift_root(a, b, c, 0)
         bp = -b - 1j * a / r
         return (
             cmath.exp(bp * r**2 - 1j * c * r**3)
@@ -232,39 +229,16 @@ def _phase_derivative(a: float, b: float, lam: complex) -> complex:
 
 
 def pearcey_saddles(a: float, b: float) -> SaddleSet:
-    """All three saddles of lam^4 + b lam^2 + i a lam via the trig/Cardano form.
+    """All three saddles of lam^4 + b lam^2 + i a lam: roots of 4 lam^3 + 2 b lam + i a.
 
-    With lam = i x the saddles solve x^3 - (b/2) x - a/4 = 0; x_m =
-    (R/3) e^(2 pi i m/3) + (b/(2R)) e^(-2 pi i m/3).  The m = 2 root is the
-    middle axis saddle in the one-contour region.
+    In the one-contour region all three lie on the imaginary axis and the
+    one with the median imaginary part is the middle saddle.
     """
-    q = 27.0 * a / 8.0
-    disc = q * q - (1.5 * b) ** 3
-    rcubed = complex(q) + cmath.sqrt(complex(disc))
-    if abs(rcubed) < 1e-300:
-        rcubed = complex(q) - cmath.sqrt(complex(disc))
-    if abs(rcubed) < 1e-300:
-        # a = b = 0: triple saddle at the origin
-        return SaddleSet(saddles=(0j, 0j, 0j), middle=0j)
-    r = rcubed ** (1.0 / 3.0)
-    xs = []
-    for m in range(3):
-        w = cmath.exp(2j * cmath.pi * m / 3.0)
-        xs.append(r / 3.0 * w + b / (2.0 * r) * w.conjugate())
-    saddles = tuple(1j * x for x in xs)
-    # polish with three Newton steps
-    polished = []
-    for lam in saddles:
-        for _ in range(3):
-            d1 = _phase_derivative(a, b, lam)
-            d2 = 12.0 * lam**2 + 2.0 * b
-            if abs(d2) > 1e-12:
-                lam = lam - d1 / d2
-        polished.append(lam)
+    saddles = tuple(complex(z) for z in np.roots([4.0, 0.0, 2.0 * b, 1j * a]))
     middle = None
-    if 8.0 * b**3 >= 27.0 * a**2:
-        middle = polished[2]
-    return SaddleSet(saddles=tuple(polished), middle=middle)
+    if pearcey_region(a, b).region == "one-contour":
+        middle = sorted(saddles, key=lambda z: z.imag)[1]
+    return SaddleSet(saddles=saddles, middle=middle)
 
 
 def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
@@ -308,10 +282,11 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex:
         raise ValueError("a and b must be finite")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if 8.0 * b**3 < 27.0 * a**2:
-        raise ValueError("middle saddle absent: two-contour region")
-    if 8.0 * b**3 == 27.0 * a**2:
+    region = pearcey_region(a, b).region
+    if region == "caustic-boundary":
         raise ValueError("saddles coalesce on the boundary: curvature vanishes")
+    if region != "one-contour":
+        raise ValueError("middle saddle absent: two-contour region")
     with mp.workdps(40):
         if k == 0:
             val = _middle_saddle_value(mp.mpf(a), mp.mpf(b))
@@ -324,6 +299,6 @@ def pearcey_eval(a: float, b: float, k: int = 0):
     """(direct, saddle) pair; saddle is None (flagged) without a usable
     middle saddle (two-contour region or coalescence boundary)."""
     direct = pearcey_direct(a, b, k)
-    if 8.0 * b**3 > 27.0 * a**2:
+    if pearcey_region(a, b).region == "one-contour":
         return direct, pearcey_saddle(a, b, k)
     return direct, None

@@ -158,12 +158,44 @@ class TestCli:
     def test_partition_non_finite_rejected(self, capsys, argv, message):
         rc = main(["partition", *argv])
         captured = capsys.readouterr()
-        assert rc != 0
+        assert rc == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
     def test_pearcey_non_finite_rejected(self, capsys):
         rc = main(["pearcey", "--a", "nan", "--b", "1"])
         captured = capsys.readouterr()
-        assert rc != 0
+        assert rc == 2
         assert captured.err == "error: a and b must be finite\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["partition", "--e=-1,2"], "kinetic eigenvalues must be positive"),
+        (["partition", "--e", "1,1,1,1,1", "--g", "0.1", "--mc"],
+         "matrix MC limited to n <= 4 (N^2-dimensional integral)"),
+        (["orthopoly", "--n", "70"], "n_max capped at 64"),
+    ])
+    def test_rejected_input_exit_2(self, capsys, argv, message):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_asym_exact_count_zero(self, capsys):
+        # an odd total admits no symmetric zero-diagonal matrix; the ratio to a
+        # zero count is inf, which JSON prints as null
+        rc = main(["asym", "--n", "3", "--t", "1,1,1", "--exact", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] == "0"
+        assert payload["ratio"] is None
+
+    def test_pearcey_coalescence_band_has_no_saddle(self, capsys):
+        # 8 b^3 and 27 a^2 agree to rounding here, so pearcey_region reports the
+        # caustic boundary; before the saddle code read that region it printed
+        # saddle 378.27673045342095 and ratio 682.6149875969587 at this point
+        rc = main(["pearcey", "--a", "2.828427124743362", "--b", "3", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["region"] == "caustic-boundary"
+        assert payload["saddle"] is None and payload["ratio"] is None

@@ -42,7 +42,7 @@ class TestLambertTruncation:
         assert numkit.TRUNCATION_GAMMA_STAR == pytest.approx(0.278464542761074, abs=1e-12)
 
     def test_lambert_defining_equation(self):
-        for x in (0.1, 1.0, 7.3):
+        for x in (1e-300, 0.1, 1.0, 7.3, 1e300):
             w = numkit.lambert_w(x)
             assert w * math.exp(w) == pytest.approx(x, rel=1e-12)
 

@@ -26,6 +26,9 @@ from qmm.quadrature import (
     stokes_value,
 )
 
+# a point on the Stokes line y^2 = x^3 (5 + sqrt 27) / 13.5 at x = -b = 1.7
+STOKES_Y = math.sqrt(1.7**3 * (5 + math.sqrt(27)) / 13.5)
+
 # printed direct column of the (a,b) = (-24, 14) table, |values|
 PEXM_DIRECT = [1.01e-5, 9.75e-6, 8.83e-6, 7.45e-6, 5.80e-6, 4.10e-6, 2.54e-6, 1.30e-6, 4.58e-7]
 
@@ -79,6 +82,17 @@ class TestQuarticGaussSaddle:
         oracle2 = quartic_gauss_direct(a, b, c, 0.0, cutoff=60.0)
         got2 = quartic_gauss_saddle(a, b, c, 0.0, variant=2)
         assert abs(got2 - oracle2) / abs(oracle2) < 0.05
+
+    @pytest.mark.parametrize("a,b,c,expect", [
+        # values of the closed-form quadratic root, recorded before variant 2
+        # took its root from saddle_shift_root
+        (0.3, 1.0, 0.05, 1.7105803265790542),
+        (1.2, 0.8, 0.1, 1.1597159774469854),
+        (0.5, 2.0, -0.2, 1.2316573357963922),
+    ])
+    def test_variant2_pinned(self, a, b, c, expect):
+        got = quartic_gauss_saddle(a, b, c, 0.0, variant=2)
+        assert got == pytest.approx(expect, rel=1e-13)
 
     def test_variant1_error_scales_like_n_minus_three_halves(self):
         errs = []
@@ -157,6 +171,36 @@ class TestPearceySaddles:
     def test_two_contour_region_has_no_middle(self):
         assert pearcey_saddles(1.0, 0.0).middle is None
 
+    @pytest.mark.parametrize("a,b,roots", [
+        # recorded from the Cardano construction with Newton polish
+        (-24.0, 14.0, [2j, -3j, 1j]),
+        (0.0, -1.0, [0j, -0.7071067811865476, 0.7071067811865476]),
+        (0.0, 0.0, [0j, 0j, 0j]),
+        (1.0, 0.0, [0.6299605249474366j, -0.5455618179858607 - 0.3149802624737183j,
+                    0.5455618179858607 - 0.3149802624737183j]),
+    ])
+    def test_roots_match_reference(self, a, b, roots):
+        got = pearcey_saddles(a, b).saddles
+        for want in roots:
+            assert min(abs(z - want) for z in got) < 1e-12
+        for z in got:
+            assert min(abs(z - want) for want in roots) < 1e-12
+
+    @pytest.mark.parametrize("a,b", [
+        (-24.0, 14.0),
+        (0.0, 1.0),
+        (1.0, 0.0),
+        (0.0, 0.0),
+        (0.0, -1.0),
+        (2.828427124743362, 3.0),  # 8 b^3 = 27 a^2 to rounding
+        (STOKES_Y, -1.7),
+    ])
+    def test_one_region_decision(self, a, b):
+        # the saddle value, the middle saddle and the region agree everywhere
+        no_middle = pearcey_region(a, b).region != "one-contour"
+        assert (pearcey_eval(a, b)[1] is None) == no_middle
+        assert (pearcey_saddles(a, b).middle is None) == no_middle
+
 
 class TestPearceyEval:
     @pytest.mark.parametrize("k", range(9))
@@ -202,6 +246,10 @@ class TestPearceyEval:
     def test_saddle_errors_outside_region(self):
         with pytest.raises(ValueError, match="middle saddle absent"):
             pearcey_saddle(1.0, 0.0, 0)
+
+    def test_saddle_errors_on_coalescence_band(self):
+        with pytest.raises(ValueError, match="saddles coalesce"):
+            pearcey_saddle(2.828427124743362, 3.0, 0)
 
     @pytest.mark.parametrize("func", [pearcey_direct, pearcey_saddle])
     def test_negative_k_rejected(self, func):
