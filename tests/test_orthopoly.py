@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,15 +21,45 @@ from qmm.orthopoly import (
 
 R_TABLE = {1: 0.3380, 2: 0.4017, 3: 0.5051, 4: 0.5781, 5: 0.6468, 10: 0.9132}
 
+# u_coefficients(10), lower triangle by rows
+U_PIN = [
+    [1.0],
+    [-0.33798912003364234, 1.0],
+    [0.1707197350154949, -1.244773012141982, 1.0],
+    [-0.11041595607977099, 1.4033698840292883, -2.469598544520938, 1.0],
+    [0.08440451031252741, -1.6066927158336788, 4.581503133762374, -3.941884821478168, 1.0],
+    [-0.07313400678977611, 1.912783918006747, -7.777228556361231, 10.593084831968493,
+     -5.625376937679173, 1.0],
+    [0.0700445400148689, -2.380581834727497, 12.838663456521077, -24.477724549224767,
+     20.326894773481207, -7.4963829220033595, 1.0],
+    [-0.07292261265248519, 3.097202332657123, -21.138307251222024, 52.65842905734255,
+     -60.58330415059861, 34.671812757805355, -9.537760847491366, 1.0],
+    [0.08154503812169799, -4.204867477404569, 35.13154336121334, -109.38162419966676,
+     162.99394373413148, -128.38101775481448, 54.51672813209151, -11.736354337227807, 1.0],
+    [-0.09707198817382488, 5.943350645777655, -59.299875827679635, 223.6586554546834,
+     -413.4110639583878, 419.30898322219355, -243.92150264788813, 80.75053059787327,
+     -14.081652102624044, 1.0],
+    [0.12216032659102298, -8.725244654493554, 101.97933845724799, -455.23008602553364,
+     1012.6370821149194, -1267.5064343374988, 945.5594368793803, -427.3403901846717,
+     114.26210958507603, -16.565005191364016, 1.0],
+]
 
-def gaussian_moments(n):
+# ops_from_moments on the float quartic moments, n = 6
+QUARTIC_R_PIN = [0.3379891200336424, 0.4016796597635174, 0.5051042323448222,
+                 0.5780581503317122, 0.6467673820472516, 0.7078631509051134]
+QUARTIC_H_PIN = [1.8128049541109543, 0.6127083512325889, 0.24611248205737205,
+                 0.12431245632006771, 0.0718598285635701, 0.04647659319442454,
+                 0.03289906770194051]
+
+
+def gaussian_moments(n, root_two_pi=math.sqrt(2 * math.pi), zero=0.0):
     # weight e^(-x^2/2): rho_2k = sqrt(2 pi) (2k-1)!!
     rho = []
     for k in range(2 * n + 1):
         if k % 2:
-            rho.append(0.0)
+            rho.append(zero)
         else:
-            rho.append(math.sqrt(2 * math.pi) * math.prod(range(k - 1, 0, -2)))
+            rho.append(root_two_pi * math.prod(range(k - 1, 0, -2)))
     return MomentSeq(tuple(rho))
 
 
@@ -78,6 +110,29 @@ class TestMomentConstruction:
         assert list(polynomial_from_moments(mom, 3)) == [
             Fraction(-1, 20), Fraction(3, 5), Fraction(-3, 2), 1]
         assert all(type(c) is Fraction for c in polynomial_from_moments(mom, 3))
+
+    def test_quartic_moment_table_pinned(self):
+        rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
+        table = ops_from_moments(MomentSeq(rho), 6)
+        assert table.r[1:] == pytest.approx(QUARTIC_R_PIN, rel=1e-12)
+        assert table.h == pytest.approx(QUARTIC_H_PIN, rel=1e-12)
+
+    def test_float_gaussian_table_pinned(self):
+        # R_m = m and h_m = sqrt(2 pi) m! for e^(-x^2/2)
+        table = ops_from_moments(gaussian_moments(10), 10)
+        assert table.r[1:] == pytest.approx(list(range(1, 11)), rel=1e-12)
+        expect_h = [math.sqrt(2 * math.pi) * math.factorial(m) for m in range(11)]
+        assert table.h == pytest.approx(expect_h, rel=1e-12)
+
+    def test_rational_moments_exact_table(self):
+        # moments 1/(k+1) of [0, 1]: shifted Legendre, every entry exact
+        table = ops_from_moments(MomentSeq(tuple(Fraction(1, k + 1) for k in range(17))), 8)
+        f = math.factorial
+        assert table.alpha == (0.0,) + (0.5,) * 8
+        assert table.r == (0.0,) + tuple(
+            float(Fraction(m * m, 4 * (4 * m * m - 1))) for m in range(1, 9))
+        assert table.h == tuple(
+            float(Fraction(f(m) ** 4, f(2 * m) ** 2 * (2 * m + 1))) for m in range(9))
 
     def test_even_weight_alphas_vanish(self):
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
@@ -168,6 +223,12 @@ class TestUCoefficients:
         assert abs(u[1, 0]) == pytest.approx(0.33798912, rel=1e-6)
         assert abs(u[4, 3]) == pytest.approx(3.94, rel=5e-3)
         assert u[5, 5] == 1.0
+
+    def test_pinned_table(self):
+        u = u_coefficients(10)
+        for m, row in enumerate(U_PIN):
+            assert u[m, : m + 1] == pytest.approx(row, rel=1e-13)
+            assert not u[m, m + 1 :].any()
 
     def test_sign_pattern(self):
         u = u_coefficients(8)
