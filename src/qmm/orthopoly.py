@@ -1,6 +1,6 @@
 """Monic orthogonal polynomials: moment construction, quartic-weight tables.
 
-Three-term recursion from raw moments, the forward string-equation
+Chebyshev's algorithm from raw moments, the forward string-equation
 recursion for the quartic weight exp(-lambda^4) (run at 60 digits; the
 float64 forward iteration leaves the bracketing band near m ~ 25), the
 Gamma((2k+2l+1)/4) determinant cross-check, and the triangular
@@ -74,58 +74,33 @@ class QuasiDefiniteError(Exception):
 
 
 def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
-    """Monic orthogonal family from moments by the three-term recursion.
+    """Monic orthogonal family from moments by Chebyshev's algorithm.
 
-    Inner products are evaluated from the moment functional on the
-    polynomial coefficients; exact if the moments are Fractions.
+    Runs sigma_{m,l} = l[x^l P_m] = sigma_{m-1,l+1} - alpha_m sigma_{m-1,l}
+    - R_{m-1} sigma_{m-2,l} down the moment row (Gautschi 2004, sec. 2.1.7):
+    h_m = sigma_{m,m}, R_m = h_m / h_{m-1} and alpha_{m+1} =
+    sigma_{m,m+1}/h_m - sigma_{m-1,m}/h_{m-1}.  Entries keep their field
+    (ints become Fractions; Fractions, floats and mpmath numbers pass
+    through), so the table is exact for rational moments and carries the
+    working precision for mpmath ones; it is rounded to float on return.
     """
-    rho = list(moments.rho)
-    if len(rho) < 2 * n + 1:
+    if len(moments.rho) < 2 * n + 1:
         raise ValueError("need moments rho_0 .. rho_{2n}")
-    exact = all(isinstance(r, (int, Fraction)) for r in rho)
-    zero = Fraction(0) if exact else 0.0
-    rho = [Fraction(r) if exact else float(r) for r in rho]
-
-    def apply(coeffs_a, coeffs_b, shift=0):
-        # l[x^shift * A(x) * B(x)]
-        total = zero
-        for i, a in enumerate(coeffs_a):
-            if a == 0:
-                continue
-            for j, b in enumerate(coeffs_b):
-                if b == 0:
-                    continue
-                total += a * b * rho[i + j + shift]
-        return total
-
-    p_prev = [zero + 1]
-    h = [apply(p_prev, p_prev)]
-    if h[0] == 0:
-        raise QuasiDefiniteError("moment functional not quasi-definite")
-    alpha: list = [zero]
-    r: list = [zero]
-    p = p_prev
-    p_before: list = []
-    for m in range(1, n + 1):
-        a_m = apply(p, p, shift=1) / h[m - 1]
-        alpha.append(a_m)
-        # P_m = (x - a_m) P_{m-1} - R_{m-1} P_{m-2}
-        nxt = [zero] * (m + 1)
-        for i, c in enumerate(p):
-            nxt[i + 1] += c
-            nxt[i] -= a_m * c
-        if m >= 2:
-            r_m1 = h[m - 1] / h[m - 2]
-            r.append(r_m1)
-            for i, c in enumerate(p_before):
-                nxt[i] -= r_m1 * c
-        p_before, p = p, nxt
-        hm = apply(p, p)
-        if hm == 0:
+    row = [Fraction(x) if isinstance(x, int) else x for x in moments.rho[: 2 * n + 1]]
+    older = [0] * len(row)  # sigma_{m-2,.}; row holds sigma_{m-1,.}
+    alpha, r, h = [0], [0], [row[0]]
+    shift = 0  # sigma_{m-2,m-1} / h_{m-2}
+    for m in range(n + 1):
+        if h[m] == 0:
             raise QuasiDefiniteError("moment functional not quasi-definite")
-        h.append(hm)
-    if n >= 1:
-        r.append(h[n] / h[n - 1])
+        if m == n:
+            break
+        alpha.append(row[m + 1] / h[m] - shift)
+        shift = row[m + 1] / h[m]
+        older, row = row, [row[l + 1] - alpha[m + 1] * row[l] - r[m] * older[l]
+                           for l in range(len(row) - 1)]
+        h.append(row[m + 1])
+        r.append(h[m + 1] / h[m])
     return OrthoTable(
         degree=n,
         alpha=tuple(float(a) for a in alpha),
@@ -144,7 +119,7 @@ def polynomial_from_moments(moments: MomentSeq, n: int):
     rho = moments.rho
     if len(rho) < 2 * n:
         raise ValueError("need moments rho_0 .. rho_{2n-1}")
-    d_prev = _square_det([[rho[i + j] for j in range(n)] for i in range(n)])
+    d_prev = moments.hankel_det(n - 1)
     minors = [
         [[rho[i + k] for k in range(n + 1) if k != j] for i in range(n)] for j in range(n + 1)
     ]
@@ -218,8 +193,8 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     table = quartic_r_sequence(max(2 * n, 2))
     with mp.workdps(max(30, 10 * n)):
-        rows = [[mp.gamma(mp.mpf(2 * k + 2 * l + 1) / 4) for l in range(n)] for k in range(n)]
-        direct = float(_square_det(rows))
+        gammas = MomentSeq(tuple(mp.gamma(mp.mpf(2 * j + 1) / 4) for j in range(2 * n - 1)))
+        direct = float(gammas.hankel_det(n - 1))
     via_norms = float(2**n * np.prod([table.h[2 * t] for t in range(n)]))
     return direct, via_norms
 
@@ -227,28 +202,15 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
 def u_coefficients(n_max: int) -> np.ndarray:
     """Lower-triangular U with P_{2m}(x) = sum_k U[m,k] x^(2k).
 
-    U[m,m] = 1 and U[m,k] = U[m-1,k-1] - (R_{2m-1}+R_{2m-2}) U[m-1,k]
-    - R_{2m-2} R_{2m-3} U[m-2,k]; signs alternate as (-1)^(m+k).
+    Row m is the even half of the recursion's P_{2m}; U[m,m] = 1 and the
+    signs alternate as (-1)^(m+k).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     table = quartic_r_sequence(max(2 * n_max, 2))
-
-    def rr(i: int) -> float:
-        return table.r[i] if i >= 1 else 0.0
-
     u = np.zeros((n_max + 1, n_max + 1))
-    u[0, 0] = 1.0
-    for m in range(1, n_max + 1):
-        u[m, m] = 1.0
-        for k in range(m):
-            prev_shift = u[m - 1, k - 1] if k >= 1 else 0.0
-            two_back = u[m - 2, k] if m >= 2 else 0.0
-            u[m, k] = (
-                prev_shift
-                - (rr(2 * m - 1) + rr(2 * m - 2)) * u[m - 1, k]
-                - rr(2 * m - 2) * rr(2 * m - 3) * two_back
-            )
+    for m in range(n_max + 1):
+        u[m, : m + 1] = table.polynomial_coeffs(2 * m)[0::2]
     return u
 
 

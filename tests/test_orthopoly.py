@@ -134,6 +134,13 @@ class TestMomentConstruction:
         assert table.h == tuple(
             float(Fraction(f(m) ** 4, f(2 * m) ** 2 * (2 * m + 1))) for m in range(9))
 
+    def test_mpmath_moments_keep_working_precision(self):
+        # 50-digit moments: the recursion runs in mpmath, not in float
+        with mp.workdps(50):
+            mom = gaussian_moments(20, mp.sqrt(2 * mp.pi), mp.mpf(0))
+            table = ops_from_moments(mom, 20)
+        assert table.r[1:] == pytest.approx(list(range(1, 21)), rel=1e-14)
+
     def test_even_weight_alphas_vanish(self):
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
         table = ops_from_moments(MomentSeq(rho), 6)
