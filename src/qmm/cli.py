@@ -169,6 +169,12 @@ def cmd_verify(args, cfg: RunConfig) -> tuple[int, str]:
     if cfg.output_format == "json":
         payload = [r.__dict__ for r in results]
         return code, json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if cfg.output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, sorted(results[0].__dict__), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(r.__dict__ for r in results)
+        return code, buf.getvalue().rstrip("\n")
     return code, "\n".join(lines)
 
 

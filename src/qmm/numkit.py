@@ -2,8 +2,9 @@
 
 Log-space numbers, Stirling approximations, the Lambert-W truncation
 bound, distinct-part partition counts, power sums, the symmetric
-pole-sum functions used by the determinant and enumeration modules, and
-the seeded Monte Carlo mean that every sampler runs through.
+pole-sum functions F and G (checked by the tests against written-out
+sums; no other module calls them), and the seeded Monte Carlo mean that
+every sampler runs through.
 """
 
 from __future__ import annotations

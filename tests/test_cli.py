@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -99,12 +101,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be >= 1" in captured.err
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_pearcey_huge_a_exit_1(self, capsys):
+        # quad returns nan at |a| ~ 1e300; that is a numerical failure, not a crash
+        rc = main(["pearcey", "--a", "1e300", "--b", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "not finite" in captured.err
+
     def test_verify_json_is_valid(self, capsys):
         rc = main(["verify", "--suite", "partition", "--format", "json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload and all(type(r["passed"]) is bool for r in payload)
         assert all(type(r["known_issue"]) is bool for r in payload)
+
+    def test_verify_csv_rows(self, capsys):
+        rc = main(["verify", "--suite", "utilities", "--format", "csv"])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3
+        assert set(rows[0]) == {"criterion", "clause", "reference", "passed", "detail",
+                                "known_issue"}
+        assert all(r["passed"] == "True" for r in rows)
 
     def test_csv_format(self, capsys):
         rc = main(["count", "--n", "3", "--t", "1,1,2", "--format", "csv"])
