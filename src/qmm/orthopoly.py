@@ -76,9 +76,10 @@ class QuasiDefiniteError(Exception):
 def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
     """Monic orthogonal family from moments by Chebyshev's algorithm.
 
-    Runs sigma_{m,l} = l[x^l P_m] = sigma_{m-1,l+1} - alpha_m sigma_{m-1,l}
-    - R_{m-1} sigma_{m-2,l} down the moment row (Gautschi 2004, sec. 2.1.7):
-    h_m = sigma_{m,m}, R_m = h_m / h_{m-1} and alpha_{m+1} =
+    With L the moment functional, sigma_{m,l} = L(x^l P_m) starts from the
+    moment row sigma_{0,l} = rho_l and follows sigma_{m,l} = sigma_{m-1,l+1}
+    - alpha_m sigma_{m-1,l} - R_{m-1} sigma_{m-2,l} (Gautschi 2004, sec.
+    2.1.7): h_m = sigma_{m,m}, R_m = h_m / h_{m-1} and alpha_{m+1} =
     sigma_{m,m+1}/h_m - sigma_{m-1,m}/h_{m-1}.  Entries keep their field
     (ints become Fractions; Fractions, floats and mpmath numbers pass
     through), so the table is exact for rational moments and carries the
@@ -87,16 +88,18 @@ def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
     if len(moments.rho) < 2 * n + 1:
         raise ValueError("need moments rho_0 .. rho_{2n}")
     row = [Fraction(x) if isinstance(x, int) else x for x in moments.rho[: 2 * n + 1]]
-    older = [0] * len(row)  # sigma_{m-2,.}; row holds sigma_{m-1,.}
+    # at step m: row = sigma_{m,.}, older = sigma_{m-1,.}, shift = sigma_{m-1,m} / h_{m-1}
+    older = [0] * len(row)
     alpha, r, h = [0], [0], [row[0]]
-    shift = 0  # sigma_{m-2,m-1} / h_{m-2}
+    shift = 0
     for m in range(n + 1):
         if h[m] == 0:
             raise QuasiDefiniteError("moment functional not quasi-definite")
         if m == n:
             break
-        alpha.append(row[m + 1] / h[m] - shift)
-        shift = row[m + 1] / h[m]
+        ratio = row[m + 1] / h[m]
+        alpha.append(ratio - shift)
+        shift = ratio
         older, row = row, [row[l + 1] - alpha[m + 1] * row[l] - r[m] * older[l]
                            for l in range(len(row) - 1)]
         h.append(row[m + 1])
