@@ -24,7 +24,7 @@ def main() -> None:
     # rounded to 12 digits (+ 0.0 turns -0.0 into 0.0) and sorted by imaginary,
     # then real part, so that root-finder order and ~1e-16 noise do not show
     shown = sorted(((round(s.imag, 12) + 0.0, round(s.real, 12) + 0.0)
-                    for s in saddles.saddles))
+                    for s in saddles))
     print("saddles:", ", ".join(f"{complex(re, im):.6g}" for im, re in shown))
     print(f"{'k':>2} {'direct':>14} {'saddle':>14} {'ratio':>7}")
     for k in range(args.kmax + 1):

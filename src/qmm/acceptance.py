@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -161,10 +162,13 @@ def check_3(cfg: RunConfig) -> list[CheckResult]:
 
 def check_4(cfg: RunConfig) -> list[CheckResult]:
     out = []
+    floors = []
     for n, t, target in [(7, 8, 0.928), (6, 6, 0.906)]:
         spec = counting.RowSumSpec(n, (t,) * n)
         exact = counting.count_row_sums(spec)
         asym = asymcount.asymptotic_count(spec)
+        floor = asymcount.lower_bound(spec, (asymcount.lambda_star(spec),) * n, 0.25)
+        floors.append(math.exp(floor.log_abs - math.log(exact)))
         ratio = math.exp(asym.value.log_abs - math.log(exact))
         ok = abs(ratio - target) <= 0.010
         out.append(
@@ -174,6 +178,9 @@ def check_4(cfg: RunConfig) -> list[CheckResult]:
                 ok, f"ratio = {ratio:.4f}, target {target} +- 0.010",
             )
         )
+    out.append(CheckResult(4, "threshold E_1/4 lies below the exact count, both uniform instances",
+                           "explicit lower-bound threshold", max(floors) < 1.0,
+                           "E/exact = " + ", ".join(f"{r:.3f}" for r in floors) + " at N = 7, 6"))
     return out
 
 
@@ -291,9 +298,22 @@ def check_8(cfg: RunConfig) -> list[CheckResult]:
         direct, via = orthopoly.gamma_quarter_det(n)
         worst = max(worst, abs(direct - via) / abs(direct))
     ok = worst <= 1e-8
+    # float moments of exp(-x^4) through both moment routes, against the 60-digit recursion
+    rho = orthopoly.MomentSeq(tuple(0.0 if j % 2 else orthopoly.quartic_moment(j // 2)
+                                    for j in range(21)))
+    cheb, table = orthopoly.ops_from_moments(rho, 10), orthopoly.quartic_r_sequence(10)
+    rel_rh = max(abs(c / t - 1.0) for c, t in zip(cheb.r[1:] + cheb.h, table.r[1:] + table.h))
+    p10 = table.polynomial_coeffs(10)
+    rel_p = np.abs(orthopoly.polynomial_from_moments(rho, 10) - p10).max() / np.abs(p10).max()
     return [
         CheckResult(8, "Gamma((2k+2l+1)/4) determinant, direct vs 2^n prod h_2m (n <= 6)",
-                    "quarter-Gamma determinant identity", ok, f"worst rel = {worst:.2e}")
+                    "quarter-Gamma determinant identity", ok, f"worst rel = {worst:.2e}"),
+        CheckResult(8, "Chebyshev's algorithm on the quartic moments gives R_m, h_m (m <= 10)",
+                    "quartic recursion coefficient table", rel_rh <= 1e-9,
+                    f"worst rel = {rel_rh:.1e}"),
+        CheckResult(8, "bordered-Hankel P_10 from the quartic moments equals the recursion's P_10",
+                    "moment-determinant polynomial", rel_p <= 1e-9,
+                    f"max coefficient gap / max |coefficient| = {rel_p:.1e}"),
     ]
 
 
@@ -306,16 +326,27 @@ def check_9(cfg: RunConfig) -> list[CheckResult]:
         detkit.shifted_factorial_det(n, True) == detkit.shifted_factorial_det(n, False)
         for n in range(1, 9)
     )
+    # Cauchy matrices: every minor is positive, so det(AB) > 0
+    a = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(3)]
+    b = [[Fraction(1, j + 2 * k + 1) for k in range(3)] for j in range(5)]
+    binet = detkit.cauchy_binet_det(a, b)
+    dense = detkit._square_det([[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a])
+    nodes = {n: detkit.NodeSet(tuple((k + 1) * n**-1.75 for k in range(n))) for n in EXPDET_RATIOS}
+    v7 = np.vander(nodes[7].x, increasing=True).T
+    off = np.abs(detkit.inverse_vandermonde(nodes[7]) @ v7 - np.eye(7)).max()
     out = [
         CheckResult(9, "Beta determinant closed form == rational determinant (n <= 8)",
                     "integer-Beta determinant", ok_beta, "exact equality" if ok_beta else "mismatch"),
         CheckResult(9, "shifted-factorial determinant closed form == rational determinant (n <= 8)",
                     "shifted-factorial determinant", ok_shift,
                     "exact equality" if ok_shift else "mismatch"),
+        CheckResult(9, "Cauchy-Binet sum of minors == det(AB), 3x5 by 5x3 rationals",
+                    "Cauchy-Binet formula", binet == dense > 0, f"{binet} vs {dense}"),
+        CheckResult(9, "inverse Vandermonde times V is the identity on the n=7 nodes",
+                    "inverse Vandermonde matrix", off <= 1e-9, f"max |V^-1 V - I| = {off:.1e}"),
     ]
     for n, target in EXPDET_RATIOS.items():
-        x = detkit.NodeSet(tuple((k + 1) * n**-1.75 for k in range(n)))
-        exact, fact, _ = detkit.exp_det_factorization(x, x, 1.0)
+        exact, fact, _ = detkit.exp_det_factorization(nodes[n], nodes[n], 1.0)
         ratio = exact / fact
         ok = abs(ratio - target) <= 0.02
         known = (not ok) and n == 7
@@ -361,17 +392,54 @@ def check_10(cfg: RunConfig) -> list[CheckResult]:
                     "quartic-phase integral table, ratio column", ok_ratio, detail,
                     known_issue=not ok_ratio and 0 not in bad)
     )
-    sset = quadrature.pearcey_saddles(a, b)
     res = max(
         abs(quadrature._phase_derivative(a, b, lam)) for lam in (1j, 2j, -3j)
     )
-    found = sorted(s.imag for s in sset.saddles)
+    found = sorted(s.imag for s in quadrature.pearcey_saddles(a, b))
     ok_saddle = res < 1e-10 and np.allclose(found, [-3.0, 1.0, 2.0], atol=1e-9)
     out.append(
         CheckResult(10, "saddles at i, 2i, -3i with residual < 1e-10",
                     "quartic-phase saddle roots", ok_saddle,
                     f"max |f'| = {res:.1e}, saddles {[round(x, 9) for x in found]}")
     )
+    # n! = n^(n+1) e^-n int e^(n(ln(1+s) - s)) ds; Laplace misses Stirling's 1/(12n)
+    gaps = []
+    for n in (10, 40, 160):
+        peak = quadrature.laplace_peak(lambda s: math.log1p(s) - s, (-0.9, 3.0), n)
+        gaps.append(12 * n * (math.lgamma(n + 1) - (n + 1) * math.log(n) + n - math.log(peak)))
+    k_rel = max(abs(quadrature.k_series(n, mu) / quadrature.k_quadrature(n, mu) - 1.0)
+                for n, mu in ((0, 1.0), (1, 1.0), (2, 4.0), (3, 0.3), (4, 10.0)))
+    try:
+        quadrature.k_series(0, 100.0)
+        guard = "silent"
+    except quadrature.SeriesLossError:
+        guard = "raised"
+
+    def saddle_err(a, n, d, variant):
+        # exp(i a x - b x^2 + i c x^3 - d x^4) at b = 1, c = 0.4 N^-1/2
+        coef = (a, 1.0, 0.4 / math.sqrt(n), d)
+        return abs(quadrature.quartic_gauss_saddle(*coef, variant)
+                   / quadrature.quartic_gauss_direct(*coef) - 1.0)
+
+    sizes = (16, 64, 256)
+    errs1 = [saddle_err(1.0, n, 0.3 / n, 1) for n in sizes]
+    slope = float(np.polyfit(np.log(sizes), np.log(errs1), 1)[0])
+    errs23 = [saddle_err(math.sqrt(n), n, d, variant)
+              for n in (16, 64) for d, variant in ((0.0, 2), (0.3 / n, 3))]
+    out += [
+        CheckResult(10, "Laplace peak misses ln n! by 1/(12n) to 1% (n = 10, 40, 160)",
+                    "Laplace method", max(abs(g - 1.0) for g in gaps) <= 0.01,
+                    "12n gap = " + ", ".join(f"{g:.4f}" for g in gaps)),
+        CheckResult(10, "k_n(mu) series vs quadrature to 1e-8 (5 points), loss guard at mu=100",
+                    "half-line quartic integrals k_n", k_rel <= 1e-8 and guard == "raised",
+                    f"worst rel = {k_rel:.1e}; guard {guard} at mu=100"),
+        CheckResult(10, "quartic-Gaussian saddle variant 1 error falls like N^-3/2 (N = 16..256)",
+                    "quartic-Gaussian saddle expansion", abs(slope + 1.5) <= 0.25,
+                    f"rel errors {', '.join(f'{e:.1e}' for e in errs1)}; slope {slope:.2f}"),
+        CheckResult(10, "saddle variants 2 and 3 within 5% of quadrature, a = sqrt(N), N = 16, 64",
+                    "quartic-Gaussian saddle expansion", max(errs23) <= 0.05,
+                    "rel errors " + ", ".join(f"{e:.1e}" for e in errs23)),
+    ]
     return out
 
 
@@ -481,6 +549,16 @@ def check_13(cfg: RunConfig) -> list[CheckResult]:
         for n in range(1, 11)
         for m in range(1, 5)
     )
+    under = [numkit.distinct_partition_count(m, n) <= numkit.distinct_partition_bound(m, n)
+             for m in range(1, 7) for n in range(41)]
+    # F_{n,p} = 0 for p <= n-2 and (-1)^(n-1) h_{p-n+1} beyond; G_{n,0} = 1
+    pole_ok = []
+    for n in range(2, 6):
+        x = [Fraction(k * k + 1, k + 2) for k in range(n)]
+        for p in range(n + 3):
+            h = numkit.complete_homogeneous(p - n + 1, x) if p > n - 2 else 0
+            pole_ok.append(numkit.symmetric_pole_sum("F", p, x) == (-1) ** (n - 1) * h)
+        pole_ok.append(numkit.symmetric_pole_sum("G", 0, x, z=Fraction(-2, 7)) == 1)
     return [
         CheckResult(13, "truncation-bound monotonicity flips at the Lambert-W threshold",
                     "Lambert-W truncation threshold", ok_star and ok_flip,
@@ -489,6 +567,12 @@ def check_13(cfg: RunConfig) -> list[CheckResult]:
                     "factorial composition identity", ok_fcl, "exact in rationals"),
         CheckResult(13, "distinct-part partition counts match all 40 printed entries",
                     "distinct-partition count table", ok_pm, "40/40"),
+        CheckResult(13, "p_m(n) <= alpha_m 2^(n - binom(m,2)) for m <= 6, n <= 40",
+                    "distinct-partition count bound", all(under),
+                    f"{sum(under)}/{len(under)} (m, n) pairs under the bound"),
+        CheckResult(13, "pole sums F_{n,p}, G_{n,0} equal 0, (-1)^(n-1) h_(p-n+1), 1 (n <= 5)",
+                    "symmetric pole-sum identities", all(pole_ok),
+                    f"{sum(pole_ok)}/{len(pole_ok)} exact in rationals"),
     ]
 
 

@@ -1,6 +1,6 @@
-"""Determinant identities: Vandermonde machinery, the exp-kernel
-factorization and its ratio (the unitary-group integral), Cauchy-Binet,
-and the two closed-form rational determinants.
+"""Determinant identities: the Vandermonde determinant and inverse, the
+exp-kernel factorization and its ratio (the unitary-group integral),
+Cauchy-Binet, and the two closed-form rational determinants.
 
 Exact rational arithmetic where the identities are exact (Beta and
 shifted-factorial determinants, Cauchy-Binet on rational input); mpmath
@@ -67,12 +67,6 @@ def inverse_vandermonde(nodes: NodeSet) -> np.ndarray:
         coeffs = np.atleast_1d(np.poly(others))
         out[k] = coeffs[::-1] / math.prod(x[k] - v for v in others)
     return out
-
-
-def vandermonde_matrix(nodes: NodeSet) -> np.ndarray:
-    x = list(nodes.x)
-    n = len(x)
-    return np.array([[x[j] ** i for j in range(n)] for i in range(n)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +269,3 @@ def shifted_factorial_det(n: int, closed_form: bool = True) -> Fraction:
     entry = lambda k, l: Fraction(1, math.factorial(2 * k - l)) if 2 * k >= l else Fraction(0)
     return _square_det([[entry(k, l) for l in range(n)] for k in range(n)])
 
-
-# ---------------------------------------------------------------------------
-# perturbation-validity predicates
-
-
-def perturbation_validity(kind: str, params: dict) -> tuple[bool, float]:
-    """Advisory smallness predicates for neglecting perturbation terms.
-
-    Returns (holds, margin) where margin is the worst ratio of a
-    coefficient to its sufficient bound (<= 1 means the condition holds).
-    Sufficient, not necessary; never used as a hard gate.
-
-    kinds:
-      diag-power:    coefficients alpha_n on (x_k y_l)^n, bound N^-(n+1)
-      argument-poly: coefficients beta_n on x_k y_l^n, bound 1/(N^2 max|y|^(n-1))
-      mixed:         terms gamma (k eps)^m y^n; m > n always fine, n > m
-                     needs gamma <= N^-(1/2+n)/(1 + max|y|^(n-m))
-    """
-    if kind not in ("diag-power", "argument-poly", "mixed"):
-        raise ValueError(f"unknown kind {kind!r}")
-    n_size = params["N"]
-    if kind == "diag-power":
-        worst = 0.0
-        for order, coeff in params["coefficients"].items():
-            worst = max(worst, abs(coeff) * n_size ** (order + 1))
-        return worst <= 1.0, worst
-    if kind == "argument-poly":
-        ymax = params["y_max"]
-        worst = 0.0
-        for order, coeff in params["coefficients"].items():
-            worst = max(worst, abs(coeff) * n_size**2 * ymax ** (order - 1))
-        return worst <= 1.0, worst
-    if kind == "mixed":
-        ymax = params["y_max"]
-        worst = 0.0
-        for (m_pow, n_pow), coeff in params["terms"].items():
-            if m_pow > n_pow:
-                continue
-            if m_pow == n_pow:
-                worst = max(worst, abs(coeff))
-                continue
-            bound = n_size ** (-0.5 - n_pow) / (1.0 + ymax ** (n_pow - m_pow))
-            worst = max(worst, abs(coeff) / bound)
-        return worst <= 1.0, worst
-    raise AssertionError("unreachable")

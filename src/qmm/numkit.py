@@ -1,9 +1,9 @@
 """Shared asymptotic, combinatorial and Monte Carlo utilities.
 
-Log-space numbers, Stirling approximations, the Lambert-W truncation
-bound, distinct-part partition counts, power sums, the symmetric
-pole-sum functions F and G (checked by the tests against written-out
-sums; no other module calls them), and the seeded Monte Carlo mean that
+Log-space numbers, the Lambert-W truncation bound, distinct-part
+partition counts and their bound, power sums, the symmetric pole-sum
+functions F and G with the complete homogeneous polynomials that
+criterion 13 checks them against, and the seeded Monte Carlo mean that
 every sampler runs through.
 """
 
@@ -74,25 +74,7 @@ def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Stirling and the truncation bound
-
-
-def stirling_ln_factorial(n: int, order: int = 1) -> float:
-    """ln of the Stirling approximation of n!.
-
-    order=0 is the bare sqrt(2 pi n) n^n e^-n form, order=1 multiplies by
-    (1 + 1/(12n)).  n = 0 returns ln(0!) = 0.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 0.0
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    ln = 0.5 * math.log(2 * math.pi * n) + n * math.log(n) - n
-    if order == 1:
-        ln += math.log1p(1.0 / (12 * n))
-    return ln
+# the truncation bound
 
 
 def lambert_w(x: float) -> float:
@@ -163,26 +145,6 @@ def distinct_partition_bound(m: int, n: int) -> float:
     for t in range(1, m + 1):
         alpha /= 1.0 - 2.0 ** (-t)
     return alpha * 2.0 ** (n - m * (m - 1) // 2)
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Precomputed p_m(n) for 1 <= m <= max_m, 0 <= n <= max_n."""
-
-    max_m: int
-    max_n: int
-    values: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, max_m: int, max_n: int) -> "PartitionTable":
-        rows = tuple(
-            tuple(distinct_partition_count(m, n) for n in range(max_n + 1))
-            for m in range(1, max_m + 1)
-        )
-        return cls(max_m, max_n, rows)
-
-    def __call__(self, m: int, n: int) -> int:
-        return self.values[m - 1][n]
 
 
 # ---------------------------------------------------------------------------

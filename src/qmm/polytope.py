@@ -46,18 +46,6 @@ class DiagonalSpec:
         return tuple(1.0 - hj for hj in self.h)
 
 
-def polytope_basis(n: int) -> list[np.ndarray]:
-    """Identity plus the binom(n,2) transposition vertices B^(jk)."""
-    basis = [np.eye(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            b = np.eye(n)
-            b[j, j] = b[k, k] = 0.0
-            b[j, k] = b[k, j] = 1.0
-            basis.append(b)
-    return basis
-
-
 def _s_single(u) -> list[float]:
     half = sum(u) / 2.0
     return [half - uj for uj in u]

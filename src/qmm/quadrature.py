@@ -17,6 +17,14 @@ import numpy as np
 
 PEARCEY_CUTOFF = 12.0  # exp(-12^4) tail, far below any tolerance
 BOUNDARY_TOL = 1e-9
+K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of the sum
+
+
+def _digits_known(val, err, what: str):
+    """quad's value val, unless its nonzero error estimate err reaches |val|."""
+    if err and abs(err) >= abs(val):
+        raise ArithmeticError(f"{what}: error estimate {abs(err):.1e} >= |value| {abs(val):.1e}")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +114,20 @@ def saddle_shift_root(a, b, c, d) -> complex:
     return complex(min(roots, key=lambda z: abs(z - target)))
 
 
-def quartic_gauss_direct(a, b, c, d, cutoff: float | None = None) -> complex:
-    """Adaptive-quadrature oracle for the variant integrals."""
+def quartic_gauss_direct(a, b, c, d) -> complex:
+    """Adaptive-quadrature oracle for the variant integrals (ArithmeticError
+    when quad's error estimate is not below the value)."""
     from scipy.integrate import quad
 
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    if cutoff is None:
-        decay = max(b.real, 0.0) + max(d.real, 0.0)
-        cutoff = 50.0 if decay < 0.1 else min(60.0, 12.0 / decay**0.25 + 20.0)
+    decay = max(b.real, 0.0) + max(d.real, 0.0)
+    cutoff = 50.0 if decay < 0.1 else min(60.0, 12.0 / decay**0.25 + 20.0)
 
     def integrand(x):
         return cmath.exp(1j * a * x - b * x * x + 1j * c * x**3 - d * x**4)
 
-    return complex(quad(integrand, -cutoff, cutoff, limit=600, complex_func=True)[0])
+    val, err = quad(integrand, -cutoff, cutoff, limit=600, complex_func=True)
+    return complex(_digits_known(val, err, f"quartic-Gaussian quadrature at {(a, b, c, d)}"))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +138,7 @@ class SeriesLossError(Exception):
     """Raised when the alternating series cancels away too many digits."""
 
 
-def k_series(n: int, mu: float, terms: int = 400) -> float:
+def k_series(n: int, mu: float) -> float:
     """k_n(mu) = (1/2) mu^((2n+1)/4) sum_k (-sqrt(mu))^k/k! Gamma((2(n+k)+1)/4).
 
     Equals int_0^inf lam^(n-1/2) exp(-lam - lam^2/mu) dlam.  Raises once
@@ -140,14 +149,12 @@ def k_series(n: int, mu: float, terms: int = 400) -> float:
         raise ValueError("n must be >= 0")
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    if terms < 1:
-        raise ValueError("need at least one term")
     if mu == 0.0:
         return 0.0
     sq = math.sqrt(mu)
     total = 0.0
     largest = 0.0
-    for k in range(terms):
+    for k in range(K_SERIES_TERMS):
         term = (-sq) ** k * math.exp(math.lgamma((2 * (n + k) + 1) / 4.0) - math.lgamma(k + 1))
         total += term
         largest = max(largest, abs(term))
@@ -184,17 +191,6 @@ class PearceyPoint:
     discriminant: float  # 8 b^3 - 27 a^2
 
 
-@dataclass(frozen=True)
-class SaddleSet:
-    saddles: tuple[complex, ...]  # in lambda, on/off the imaginary axis
-    middle: complex | None  # the axis saddle used by the one-contour formula
-
-
-def caustic_value(x: float, y: float) -> float:
-    """y^2 + (2x/3)^3 for the oscillatory-form parameters; 0 on the caustic."""
-    return y * y + (2.0 * x / 3.0) ** 3
-
-
 def stokes_value(x: float, y: float) -> float:
     """(27/2) y^2 - x^3 (5 + sqrt 27); 0 on the Stokes line (x > 0 side)."""
     return 13.5 * y * y - x**3 * (5.0 + math.sqrt(27.0))
@@ -228,17 +224,12 @@ def _phase_derivative(a: float, b: float, lam: complex) -> complex:
     return 4.0 * lam**3 + 2.0 * b * lam + 1j * a
 
 
-def pearcey_saddles(a: float, b: float) -> SaddleSet:
+def pearcey_saddles(a: float, b: float) -> tuple[complex, ...]:
     """All three saddles of lam^4 + b lam^2 + i a lam: roots of 4 lam^3 + 2 b lam + i a.
 
-    In the one-contour region all three lie on the imaginary axis and the
-    one with the median imaginary part is the middle saddle.
+    In the one-contour region all three lie on the imaginary axis.
     """
-    saddles = tuple(complex(z) for z in np.roots([4.0, 0.0, 2.0 * b, 1j * a]))
-    middle = None
-    if pearcey_region(a, b).region == "one-contour":
-        middle = sorted(saddles, key=lambda z: z.imag)[1]
-    return SaddleSet(saddles=saddles, middle=middle)
+    return tuple(complex(z) for z in np.roots([4.0, 0.0, 2.0 * b, 1j * a]))
 
 
 def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
@@ -246,7 +237,8 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
 
     The decaying-envelope form is absolutely convergent; the oscillation
     exp(-i a lam) is handled with weighted quadrature.  Real for even k,
-    purely imaginary for odd k.
+    purely imaginary for odd k.  ArithmeticError when quad's value is not
+    finite or not above its error estimate (large |a|).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
@@ -257,9 +249,11 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
     env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
     # QAWO's Chebyshev moments absorb the frequency: no limit that grows with |a|
     weight, sign = ("cos", 2.0) if k % 2 == 0 else ("sin", -2.0)
-    val = sign * quad(env, 0.0, PEARCEY_CUTOFF, weight=weight, wvar=a, limit=200)[0]
+    val, err = quad(env, 0.0, PEARCEY_CUTOFF, weight=weight, wvar=a, limit=200)
+    what = f"Pearcey quadrature at a={a}, b={b}, k={k}"
     if not math.isfinite(val):
-        raise ArithmeticError(f"Pearcey quadrature at a={a}, b={b}, k={k} is not finite")
+        raise ArithmeticError(f"{what} is not finite")
+    val = sign * _digits_known(val, err, what)
     return complex(val, 0.0) if k % 2 == 0 else complex(0.0, val)
 
 

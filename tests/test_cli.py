@@ -111,6 +111,15 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "not finite" in captured.err
 
+    def test_pearcey_value_below_error_exit_1(self, capsys):
+        # quad gives -7.5e-37 with abserr 2.1e-36 here: no digit of it is known
+        rc = main(["pearcey", "--a", "1e20", "--b", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "error estimate" in captured.err
+
     def test_verify_json_is_valid(self, capsys):
         rc = main(["verify", "--suite", "partition", "--format", "json"])
         assert rc == 0
@@ -122,7 +131,7 @@ class TestCli:
         rc = main(["verify", "--suite", "utilities", "--format", "csv"])
         assert rc == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert len(rows) == 3
+        assert len(rows) == 5
         assert set(rows[0]) == {"criterion", "clause", "reference", "passed", "detail",
                                 "known_issue"}
         assert all(r["passed"] == "True" for r in rows)

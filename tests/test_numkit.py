@@ -8,35 +8,6 @@ from hypothesis import strategies as st
 from qmm import numkit
 
 
-class TestStirling:
-    def test_zero_factorial_convention(self):
-        assert numkit.stirling_ln_factorial(0) == 0.0
-
-    def test_n1_order1_value(self):
-        expect = math.log(math.sqrt(2 * math.pi) * math.exp(-1) * (13 / 12))
-        assert numkit.stirling_ln_factorial(1, order=1) == pytest.approx(expect)
-
-    def test_n1_order0_value(self):
-        assert numkit.stirling_ln_factorial(1, order=0) == pytest.approx(
-            math.log(math.sqrt(2 * math.pi) / math.e)
-        )
-
-    def test_n10_close_to_exact(self):
-        assert abs(numkit.stirling_ln_factorial(10, 1) - math.log(3628800)) < 1e-4
-
-    @pytest.mark.parametrize("n", [5, 20, 80])
-    def test_order1_beats_order0(self, n):
-        exact = math.lgamma(n + 1)
-        assert abs(numkit.stirling_ln_factorial(n, 1) - exact) < abs(
-            numkit.stirling_ln_factorial(n, 0) - exact
-        )
-
-    def test_relative_error_scaling(self):
-        # order-1 residual shrinks like n^-2
-        errs = [abs(numkit.stirling_ln_factorial(n, 1) - math.lgamma(n + 1)) for n in (20, 40)]
-        assert errs[1] < errs[0] / 3.0
-
-
 class TestLambertTruncation:
     def test_threshold_value(self):
         assert numkit.TRUNCATION_GAMMA_STAR == pytest.approx(0.278464542761074, abs=1e-12)
@@ -100,11 +71,6 @@ class TestDistinctPartitions:
         if m >= 2 and n >= 1:
             assert pm(m, n) == pm(m - 1, n - m + 1) + pm(m, n - m)
         assert pm(m, n) <= numkit.distinct_partition_bound(m, n)
-
-    def test_table_object(self):
-        table = numkit.PartitionTable.build(4, 12)
-        assert table(2, 5) == 3
-        assert all(table(1, n) == 1 for n in range(1, 13))
 
 
 class TestPoleSums:

@@ -15,7 +15,6 @@ from qmm.polytope import (
     exact_volume_n4,
     mc_volume,
     mc_volume_peel,
-    polytope_basis,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -71,26 +70,6 @@ class TestExactN4:
     @given(st.tuples(unit, unit, unit, unit))
     def test_nonnegative(self, h):
         assert exact_volume_n4(DiagonalSpec(4, h)) >= 0.0
-
-
-class TestBasis:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_vertices_are_symmetric_stochastic(self, n):
-        for b in polytope_basis(n):
-            assert np.allclose(b, b.T)
-            assert np.allclose(b.sum(axis=1), 1.0)
-            assert (b >= 0).all()
-
-    @pytest.mark.parametrize("n", [3, 5, 6])
-    def test_random_convex_combinations(self, n):
-        rng = np.random.default_rng(1)
-        basis = polytope_basis(n)
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(len(basis)))
-            m = sum(wi * bi for wi, bi in zip(w, basis))
-            assert np.allclose(m, m.T)
-            assert np.allclose(m.sum(axis=1), 1.0)
-            assert (m >= -1e-12).all()
 
 
 class TestMonteCarlo:
