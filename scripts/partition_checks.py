@@ -32,7 +32,7 @@ def main() -> None:
     for g in (0.0, 0.001, 0.01, 0.1, 0.5):
         spec = KineticSpectrum(len(e), e, g)
         free = z_free(spec).value
-        weak = math.exp(z_weak_expanded(spec, include_norm_const=False).log_abs)
+        weak = math.exp(z_weak_expanded(spec).log_abs)
         emc, ese = z_mc_eigen(spec, args.samples, args.seed)
         row = f"{g:>8.3f} {free:>10.4f} {weak:>10.4f} {emc:>12.4f} +- {ese:<6.4f}"
         if len(e) <= 4:

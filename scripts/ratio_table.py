@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the uniform-row-sum ratio table: exact count, asymptotic
-estimate, and their ratio for N = 6..8 (exact oracle range) plus the
-asymptotic value alone further out.
+estimate, and their ratio for N = 6..10 (the exact oracle's range under
+the default state cap) plus the asymptotic value alone further out.
 
 Usage: python scripts/ratio_table.py [--max-n 12]
 """

@@ -22,7 +22,6 @@ DEFAULT_OMEGA = 0.1
 class AsymptoticCount:
     value: LogValue
     lam: float
-    moments: tuple[float, float, float]  # y2, y3, y4
     flagged: bool  # max_j |t_j - lam (N-1)| > lam N^(1/2 + omega)
 
 
@@ -72,7 +71,6 @@ def asymptotic_count(
     return AsymptoticCount(
         value=LogValue(ln),
         lam=lam,
-        moments=(y2, y3, y4),
         flagged=max(abs(d) for d in dev) > lam * n ** (0.5 + omega),
     )
 

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import mpmath as mp
+
 from . import asymcount, counting, detkit, partition, polytope, quadrature
 from .acceptance import SUITES, run_acceptance
 from .config import OUTPUT_FORMATS, RunConfig, load_config
@@ -120,8 +122,8 @@ def cmd_det(args, cfg: RunConfig) -> tuple[int, str]:
         nodes = detkit.NodeSet(tuple((k + 1) * args.n**-1.75 for k in range(args.n)))
         exact, fact, window = detkit.exp_det_factorization(nodes, nodes, 1.0)
         return 0, _emit(
-            {"n": args.n, "exact": exact, "factored": fact,
-             "ratio": detkit.exp_kernel_ratio(nodes, nodes, 1.0), "in_window": window},
+            {"n": args.n, "exact": mp.nstr(exact, 15), "factored": mp.nstr(fact, 15),
+             "ratio": float(exact / fact), "in_window": window},
             cfg.output_format,
         )
     return 2, "unknown determinant kind"

@@ -119,17 +119,17 @@ def exp_det_factorization(x, y, c=1.0):
     factored = c^binom(n,2) Delta(x) Delta(y) / prod_{m<n} m!  (identical
     to the determinant of the n-term truncated power series) and the ratio
     exact/factored tends to 1 as n max|x| max|y| -> 0; in_window reports
-    that advisory smallness condition (< 1).  Arbitrary precision: the
-    determinants cancel to ~8n digits.  Accepts NodeSets or plain
-    sequences (coincident nodes are fine here: both sides just vanish).
+    that advisory smallness condition (< 1).  The determinants cancel to
+    ~8n digits and come back as mpmath numbers, which do not underflow.
+    Accepts NodeSets or plain sequences (coincident nodes are fine here:
+    both sides just vanish).
     """
     xs, ys = _mp_nodes(x, y)
-    conv = complex if isinstance(c, complex) else float
     with mp.workdps(max(30, 12 * len(xs))):
-        rows, fact = _exp_kernel(xs, ys, mp.mpc(c) if conv is complex else mp.mpf(c))
-        exact_f, fact_f = conv(_square_det(rows)), conv(fact)
+        rows, fact = _exp_kernel(xs, ys, mp.mpmathify(c))
+        exact = _square_det(rows)
     window = len(xs) * max(abs(complex(v)) for v in xs) * max(abs(complex(v)) for v in ys)
-    return exact_f, fact_f, window < 1.0
+    return exact, fact, window < 1.0
 
 
 def exp_kernel_ratio(x, y, c: float) -> float:

@@ -88,13 +88,12 @@ def z_weak(spec: KineticSpectrum) -> LogValue:
     return LogValue(ln)
 
 
-def z_weak_expanded(spec: KineticSpectrum, include_norm_const: bool = True) -> LogValue:
-    """Relative-deviation expansion of the weak-coupling form.
+def z_weak_expanded(spec: KineticSpectrum) -> LogValue:
+    """Relative-deviation expansion of the weak-coupling form, as printed.
 
-    include_norm_const=True keeps the sqrt((N-1)/N) constant so this is a
-    true expansion of z_weak (log-agreement ~1e-11 at |eps| <= 0.01);
-    False gives the printed diagnostics form, which normalises to z_free
-    at the symmetric spectrum.
+    It drops z_weak's sqrt((N-1)/N) constant, so it normalises to z_free at
+    the symmetric spectrum; adding 0.5 log((N-1)/N) gives a true expansion
+    of z_weak (log-agreement ~1e-11 at |eps| <= 0.01).
     """
     n = spec.n
     if n < 2:
@@ -102,8 +101,7 @@ def z_weak_expanded(spec: KineticSpectrum, include_norm_const: bool = True) -> L
     xi = spec.xi
     eps = spec.eps_tilde
     _, _, s2, s3, s4, s5, s6 = power_sums(eps, 6)
-    ln = 0.5 * math.log((n - 1) / n) if include_norm_const else 0.0
-    ln += sum(0.5 * math.log(math.pi / em) for em in spec.e)
+    ln = sum(0.5 * math.log(math.pi / em) for em in spec.e)
     ln += (n * (n - 1) // 2) * math.log(math.pi / (2.0 * xi))
     ln += -sum(3.0 * spec.g / (4.0 * em * em) for em in spec.e)
     ln += (n - 1) / 6.0 * s3 - (n - 1) / 4.0 * s4

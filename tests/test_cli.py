@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from qmm.cli import main
@@ -63,8 +64,9 @@ class TestCli:
         assert main(argv) == 2
         assert "expected comma-separated" in capsys.readouterr().err
 
-    def test_numeric_failure_exit_1(self, capsys):
+    def test_numeric_failure_exit_1(self, capsys, monkeypatch):
         # resource guard trips -> diagnostic on stderr, exit 1
+        monkeypatch.setenv("QMM_STATE_CAP", "10000")
         rc = main(["count", "--n", "10", "--t", ",".join(["40"] * 10)])
         assert rc == 1
         assert "too large" in capsys.readouterr().err
@@ -173,12 +175,21 @@ class TestCli:
         assert math.isfinite(payload["log_value"]) and payload["log_value"] > 700
 
     def test_exp_kernel_det_past_float_underflow(self, capsys):
-        # at n = 20 both determinants underflow to 0.0; the ratio is the
-        # mpmath quotient, not a division of the two floats
+        # at n = 20 both determinants lie far below float64's range; the
+        # ratio is the mpmath quotient, not a division of two floats
         rc = main(["det", "--kind", "exp-kernel", "--n", "20", "--format", "json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] == pytest.approx(1.0635709387882695, rel=1e-12)
+
+    def test_exp_kernel_det_prints_no_underflowed_zero(self, capsys):
+        # both determinants are about 1e-727 at n = 20, far below float64
+        rc = main(["det", "--kind", "exp-kernel", "--n", "20", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        exact, fact = mp.mpf(payload["exact"]), mp.mpf(payload["factored"])
+        assert exact > 0 and fact > 0
+        assert float(exact / fact) == pytest.approx(payload["ratio"], rel=1e-12)
 
     @pytest.mark.parametrize("argv,message", [
         (["--e", "nan,1.0"], "kinetic eigenvalues must be positive"),

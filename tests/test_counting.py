@@ -75,7 +75,7 @@ def test_count_total_odd_is_zero():
 
 def test_resource_guard():
     with pytest.raises(InstanceTooLarge, match="too large"):
-        count_row_sums(RowSumSpec(10, (20,) * 10), state_cap=10**6)
+        count_row_sums(RowSumSpec(10, (20,) * 10), state_cap=10**4)
 
 
 def test_spec_validation():
@@ -88,6 +88,10 @@ def test_spec_validation():
 def test_uniform_counts_three_sig_figs():
     assert count_row_sums(RowSumSpec(6, (6,) * 6)) == 36935
     assert count_row_sums(RowSumSpec(7, (8,) * 7)) == 54202359
+
+
+def test_uniform_n9_under_default_cap():
+    assert count_row_sums(RowSumSpec(9, (10,) * 9)) == 846089582985032
 
 
 def _brute_force_count(n, t):
@@ -111,7 +115,7 @@ def _brute_force_count(n, t):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 5), min_size=3, max_size=4))
+@given(st.lists(st.integers(0, 5), min_size=3, max_size=5))
 def test_against_brute_force_enumeration(t):
     assert count_row_sums(RowSumSpec(len(t), tuple(t))) == _brute_force_count(len(t), t)
 

@@ -59,7 +59,7 @@ class TestZWeak:
         e = tuple(1.0 + x - m for x in eps)
         spec = KineticSpectrum(n, e, 0.0)
         closed = z_weak(spec).log_abs
-        expanded = z_weak_expanded(spec, include_norm_const=True).log_abs
+        expanded = z_weak_expanded(spec).log_abs + 0.5 * math.log((n - 1) / n)
         assert abs(closed - expanded) < 1e-4
 
     def test_printed_expansion_normalises_to_free_theory(self):
@@ -68,7 +68,7 @@ class TestZWeak:
         for n in (3, 6):
             g = 1e-12
             spec = KineticSpectrum(n, (1.0,) * n, g)
-            lhs = z_weak_expanded(spec, include_norm_const=False).log_abs
+            lhs = z_weak_expanded(spec).log_abs
             rhs = z_free(KineticSpectrum(n, (1.0,) * n)).log_abs - 3 * g * n / 4
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -83,7 +83,7 @@ class TestZWeak:
         # the closed form is honest only while the quartic term is truly
         # perturbative: within 5% of the MC oracle at g = 0.002
         spec = KineticSpectrum(3, (1.0, 1.0, 1.0), 0.002)
-        predicted = math.exp(z_weak_expanded(spec, include_norm_const=False).log_abs)
+        predicted = math.exp(z_weak_expanded(spec).log_abs)
         est, _ = z_mc_eigen(spec, 400_000, seed=3)
         assert abs(predicted - est) / est < 0.05
 
@@ -93,7 +93,7 @@ class TestZWeak:
         # matrix model's first-order -E[Tr X^4] = -14.25 at N = 3): the
         # closed form overshoots the oracle by about 2x, surfaced here
         spec = KineticSpectrum(3, (1.0, 1.0, 1.0), 0.1)
-        predicted = math.exp(z_weak_expanded(spec, include_norm_const=False).log_abs)
+        predicted = math.exp(z_weak_expanded(spec).log_abs)
         est, _ = z_mc_eigen(spec, 400_000, seed=3)
         assert predicted / est == pytest.approx(2.0, abs=0.15)
 
