@@ -8,7 +8,7 @@ Usage: python scripts/pearcey_table.py [--a -24] [--b 14]
 
 import argparse
 
-from qmm.quadrature import pearcey_eval, pearcey_region, pearcey_saddles
+from qmm.quadrature import pearcey_direct, pearcey_region, pearcey_saddle, pearcey_saddles
 
 
 def main() -> None:
@@ -28,7 +28,8 @@ def main() -> None:
     print("saddles:", ", ".join(f"{complex(re, im):.6g}" for im, re in shown))
     print(f"{'k':>2} {'direct':>14} {'saddle':>14} {'ratio':>7}")
     for k in range(args.kmax + 1):
-        direct, saddle = pearcey_eval(args.a, args.b, k)
+        direct = pearcey_direct(args.a, args.b, k)
+        saddle = pearcey_saddle(args.a, args.b, k)
         if saddle is None:
             print(f"{k:>2} {abs(direct):>14.4e} {'absent':>14} {'-':>7}")
         else:

@@ -29,7 +29,7 @@ from .polytope import (
     mc_volume,
     mc_volume_peel,
 )
-from .quadrature import k_series, laplace_peak, pearcey_eval, pearcey_region, quartic_gauss_saddle
+from .quadrature import k_series, laplace_peak, pearcey_region, quartic_gauss_saddle
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "mc_volume",
     "mc_volume_peel",
     "ops_from_moments",
-    "pearcey_eval",
     "pearcey_region",
     "quartic_gauss_saddle",
     "quartic_r_sequence",

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import mpmath as mp
@@ -22,18 +23,22 @@ from .config import OUTPUT_FORMATS, RunConfig, load_config
 from .orthopoly import quartic_r_sequence, u_coefficients
 
 
-def _emit(payload: dict, fmt: str) -> str:
+def _emit(payload: dict | list[dict], fmt: str) -> str:
+    """payload as JSON, CSV or (a dict only) text; a list of dicts with the
+    same keys is one JSON array or one CSV row per dict."""
+    rows = payload if isinstance(payload, list) else [payload]
     if fmt == "json":
         # JSON has no inf or nan: an overflowed value becomes null
-        payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for k, v in payload.items()}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()} for row in rows]
+        out = rows if isinstance(payload, list) else rows[0]
+        return json.dumps(out, sort_keys=True, separators=(",", ":"))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        keys = sorted(payload)
+        keys = sorted(rows[0])
         writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
+        writer.writerows([row[k] for k in keys] for row in rows)
         return buf.getvalue().rstrip("\n")
     return "\n".join(f"{k} = {payload[k]}" for k in sorted(payload))
 
@@ -119,7 +124,7 @@ def cmd_det(args, cfg: RunConfig) -> tuple[int, str]:
         val = detkit.shifted_factorial_det(args.n)
         return 0, _emit({"n": args.n, "det": str(val)}, cfg.output_format)
     if args.kind == "exp-kernel":
-        nodes = detkit.NodeSet(tuple((k + 1) * args.n**-1.75 for k in range(args.n)))
+        nodes = [(k + 1) * args.n**-1.75 for k in range(args.n)]
         exact, fact, window = detkit.exp_det_factorization(nodes, nodes, 1.0)
         return 0, _emit(
             {"n": args.n, "exact": mp.nstr(exact, 15), "factored": mp.nstr(fact, 15),
@@ -130,7 +135,8 @@ def cmd_det(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_pearcey(args, cfg: RunConfig) -> tuple[int, str]:
-    direct, saddle = quadrature.pearcey_eval(args.a, args.b, args.k)
+    direct = quadrature.pearcey_direct(args.a, args.b, args.k)
+    saddle = quadrature.pearcey_saddle(args.a, args.b, args.k)
     region = quadrature.pearcey_region(args.a, args.b)
     payload = {
         "direct": abs(direct),
@@ -160,23 +166,14 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[int, str]:
 
 def cmd_verify(args, cfg: RunConfig) -> tuple[int, str]:
     results = run_acceptance(cfg, suite=args.suite)
-    lines = []
-    width = max(len(r.clause) for r in results)
-    for r in results:
-        lines.append(f"[{r.criterion:>2}] {r.clause:<{width}}  {r.status:<17} "
-                     f"reference: {r.reference} | {r.detail}")
     n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} clauses passed")
     code = 0 if n_pass == len(results) else 1
-    if cfg.output_format == "json":
-        payload = [r.__dict__ for r in results]
-        return code, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, sorted(results[0].__dict__), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(r.__dict__ for r in results)
-        return code, buf.getvalue().rstrip("\n")
+    if cfg.output_format != "text":
+        return code, _emit([r.__dict__ for r in results], cfg.output_format)
+    width = max(len(r.clause) for r in results)
+    lines = [f"[{r.criterion:>2}] {r.clause:<{width}}  {r.status:<17} "
+             f"reference: {r.reference} | {r.detail}" for r in results]
+    lines.append(f"{n_pass}/{len(results)} clauses passed")
     return code, "\n".join(lines)
 
 
@@ -276,7 +273,14 @@ def main(argv=None) -> int:
     except (ArithmeticError, counting.InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout now points at devnull, so the flush at
+        # interpreter shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -54,49 +54,55 @@ def count_row_sums(spec: RowSumSpec, state_cap: int = DEFAULT_STATE_CAP) -> int:
     """
     if spec.x % 2 == 1:
         return 0
+    try:
+        return _count(tuple(sorted(spec.t)), {}, [state_cap])
+    except InstanceTooLarge:
+        raise InstanceTooLarge(
+            f"instance too large for exact oracle (> {state_cap:g} states)") from None
 
-    memo: dict[tuple[int, ...], int] = {}
-    states = 0
 
-    def rec(res: tuple[int, ...]) -> int:
-        nonlocal states
-        states += 1
-        if states > state_cap:
-            raise InstanceTooLarge(f"instance too large for exact oracle (> {state_cap:g} states)")
-        # res is sorted ascending; strip settled rows
-        while res and res[0] == 0:
-            res = res[1:]
-        if not res:
-            return 1
-        if 2 * res[-1] > sum(res):
+# Module-level recursion with the memo and the state budget passed in, not
+# closures over them: closures that call themselves are reference cycles,
+# which would leave each count's memo for the cyclic collector.
+def _count(res: tuple[int, ...], memo: dict, budget: list[int]) -> int:
+    """Matrices left for the ascending residual row sums res; budget[0]
+    is the number of states still allowed."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise InstanceTooLarge
+    # strip settled rows
+    while res and res[0] == 0:
+        res = res[1:]
+    if not res:
+        return 1
+    if 2 * res[-1] > sum(res):
+        return 0
+    cached = memo.get(res)
+    if cached is not None:
+        return cached
+    rest = res[1:]
+    tails = [0] * (len(rest) + 1)
+    for i in range(len(rest) - 1, -1, -1):
+        tails[i] = tails[i + 1] + rest[i]
+    total = _distribute(0, res[0], (), rest, tails, memo, budget)
+    memo[res] = total
+    return total
+
+
+def _distribute(i, remaining, acc, rest, tails, memo, budget) -> int:
+    """Sum of _count over every way to take `remaining` from rest[i:]
+    (at most rest[j] from row j, tails[i] = sum(rest[i:])), with the
+    leftovers of rest[:i] already in acc."""
+    if i == len(rest) - 1:
+        if remaining > rest[i]:
             return 0
-        cached = memo.get(res)
-        if cached is not None:
-            return cached
-        r0 = res[0]
-        rest = res[1:]
-        m = len(rest)
-        tails = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            tails[i] = tails[i + 1] + rest[i]
-        total = 0
-
-        def distribute(i: int, remaining: int, acc: tuple[int, ...]):
-            nonlocal total
-            if i == m - 1:
-                if remaining <= rest[i]:
-                    total += rec(tuple(sorted(acc + (rest[i] - remaining,))))
-                return
-            if remaining > tails[i]:
-                return
-            for b in range(min(remaining, rest[i]) + 1):
-                distribute(i + 1, remaining - b, acc + (rest[i] - b,))
-
-        distribute(0, r0, ())
-        memo[res] = total
-        return total
-
-    return rec(tuple(sorted(spec.t)))
+        return _count(tuple(sorted(acc + (rest[i] - remaining,))), memo, budget)
+    if remaining > tails[i]:
+        return 0
+    total = 0
+    for b in range(min(remaining, rest[i]) + 1):
+        total += _distribute(i + 1, remaining - b, acc + (rest[i] - b,), rest, tails, memo, budget)
+    return total
 
 
 def count_total(n: int, x: int) -> int:

@@ -11,7 +11,6 @@ below what float64 cancellation can resolve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,43 +20,30 @@ import numpy as np
 DISTINCT_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NodeSet:
-    """Pairwise-distinct interpolation nodes."""
-
-    x: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        vals = self.x
-        scale = max((abs(v) for v in vals), default=1.0) or 1.0
-        for i, j in combinations(range(len(vals)), 2):
-            if abs(vals[i] - vals[j]) <= DISTINCT_RTOL * scale:
-                raise ValueError("nodes must be pairwise distinct")
-
-    def __len__(self):
-        return len(self.x)
-
-
 def vandermonde_det(nodes) -> float:
-    """prod_{k<l} (x_l - x_k); accepts a NodeSet or a plain sequence.
+    """prod_{k<l} (x_l - x_k) of a sequence of nodes.
 
     Nodes may be floats, Fractions (exact result), mpmath numbers, or
     numpy arrays of equal shape, e.g. list(lam.T) for a per-row product.
     """
-    x = list(nodes.x if isinstance(nodes, NodeSet) else nodes)
+    x = list(nodes)
     out = 1.0 if not isinstance(x[0] if x else 0, (Fraction, int)) else Fraction(1)
     for k, l in combinations(range(len(x)), 2):
         out = out * (x[l] - x[k])
     return out
 
 
-def inverse_vandermonde(nodes: NodeSet) -> np.ndarray:
+def inverse_vandermonde(nodes) -> np.ndarray:
     """Inverse of V_ij = x_j^(i-1) via elementary symmetric polynomials.
 
     Row k, column i: (-1)^(i-1) e_{n-i}(x without x_k) / prod_{t!=k}(x_t-x_k).
+    Raises ValueError unless every node gap exceeds DISTINCT_RTOL times the
+    largest |x|.
     """
-    x = list(nodes.x)
+    x = list(nodes)
+    scale = max((abs(v) for v in x), default=1.0) or 1.0
+    if any(abs(u - v) <= DISTINCT_RTOL * scale for u, v in combinations(x, 2)):
+        raise ValueError("nodes must be pairwise distinct")
     n = len(x)
     out = np.empty((n, n), dtype=complex if any(isinstance(v, complex) for v in x) else float)
     for k in range(n):
@@ -74,11 +60,10 @@ def inverse_vandermonde(nodes: NodeSet) -> np.ndarray:
 
 
 def _mp_nodes(x, y):
-    """Both node sets as lists of mpmath numbers; NodeSets or plain sequences."""
+    """Both node sequences as lists of mpmath numbers."""
 
     def convert(nodes):
-        vals = nodes.x if isinstance(nodes, NodeSet) else nodes
-        return [mp.mpc(v) if isinstance(v, complex) else mp.mpf(v) for v in vals]
+        return [mp.mpc(v) if isinstance(v, complex) else mp.mpf(v) for v in nodes]
 
     xs, ys = convert(x), convert(y)
     if not xs:
@@ -121,8 +106,7 @@ def exp_det_factorization(x, y, c=1.0):
     exact/factored tends to 1 as n max|x| max|y| -> 0; in_window reports
     that advisory smallness condition (< 1).  The determinants cancel to
     ~8n digits and come back as mpmath numbers, which do not underflow.
-    Accepts NodeSets or plain sequences (coincident nodes are fine here:
-    both sides just vanish).
+    Coincident nodes are fine here: both sides just vanish.
     """
     xs, ys = _mp_nodes(x, y)
     with mp.workdps(max(30, 12 * len(xs))):

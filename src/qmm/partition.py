@@ -300,8 +300,7 @@ def hciz_value(x, y, t: float) -> float:
 
     The exp-kernel ratio detkit.exp_kernel_ratio: a single coincident pair
     in y is resolved exactly by its divided difference, anything more
-    degenerate (or coincident x) raises ValueError.  Accepts NodeSets or
-    plain sequences.
+    degenerate (or coincident x) raises ValueError.
     """
     return exp_kernel_ratio(x, y, t)
 

@@ -20,8 +20,14 @@ BOUNDARY_TOL = 1e-9
 K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of the sum
 
 
-def _digits_known(val, err, what: str):
-    """quad's value val, unless its nonzero error estimate err reaches |val|."""
+def _quad(f, lo, hi, what: str, **kw):
+    """scipy's quad of f over [lo, hi]: its value, unless that value is not
+    finite or a nonzero error estimate reaches |value| (ArithmeticError)."""
+    from scipy.integrate import quad
+
+    val, err = quad(f, lo, hi, **kw)
+    if not cmath.isfinite(val):
+        raise ArithmeticError(f"{what} is not finite")
     if err and abs(err) >= abs(val):
         raise ArithmeticError(f"{what}: error estimate {abs(err):.1e} >= |value| {abs(val):.1e}")
     return val
@@ -116,9 +122,7 @@ def saddle_shift_root(a, b, c, d) -> complex:
 
 def quartic_gauss_direct(a, b, c, d) -> complex:
     """Adaptive-quadrature oracle for the variant integrals (ArithmeticError
-    when quad's error estimate is not below the value)."""
-    from scipy.integrate import quad
-
+    when quad's value is not finite or not above its error estimate)."""
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     decay = max(b.real, 0.0) + max(d.real, 0.0)
     cutoff = 50.0 if decay < 0.1 else min(60.0, 12.0 / decay**0.25 + 20.0)
@@ -126,8 +130,8 @@ def quartic_gauss_direct(a, b, c, d) -> complex:
     def integrand(x):
         return cmath.exp(1j * a * x - b * x * x + 1j * c * x**3 - d * x**4)
 
-    val, err = quad(integrand, -cutoff, cutoff, limit=600, complex_func=True)
-    return complex(_digits_known(val, err, f"quartic-Gaussian quadrature at {(a, b, c, d)}"))
+    what = f"quartic-Gaussian quadrature at {(a, b, c, d)}"
+    return complex(_quad(integrand, -cutoff, cutoff, what, limit=600, complex_func=True))
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +170,12 @@ def k_series(n: int, mu: float) -> float:
 
 
 def k_quadrature(n: int, mu: float) -> float:
-    """Direct quadrature of int_0^inf lam^(n-1/2) e^(-lam - lam^2/mu)."""
-    from scipy.integrate import quad
-
+    """Direct quadrature of int_0^inf lam^(n-1/2) e^(-lam - lam^2/mu)
+    (ArithmeticError when quad's error estimate reaches the value)."""
     if mu <= 0:
         return 0.0
-    return quad(
-        lambda lam: lam ** (n - 0.5) * math.exp(-lam - lam * lam / mu),
-        0.0,
-        np.inf,
-        limit=400,
-    )[0]
+    return _quad(lambda lam: lam ** (n - 0.5) * math.exp(-lam - lam * lam / mu), 0.0, np.inf,
+                 f"k_n quadrature at n={n}, mu={mu}", limit=400)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,6 @@ def k_quadrature(n: int, mu: float) -> float:
 
 @dataclass(frozen=True)
 class PearceyPoint:
-    a: float
-    b: float
     region: str  # one-contour | two-contour | caustic-boundary | stokes-boundary
     discriminant: float  # 8 b^3 - 27 a^2
 
@@ -217,7 +214,7 @@ def pearcey_region(a: float, b: float) -> PearceyPoint:
         region = "one-contour"
     else:
         region = "two-contour"
-    return PearceyPoint(a=a, b=b, region=region, discriminant=disc)
+    return PearceyPoint(region=region, discriminant=disc)
 
 
 def _phase_derivative(a: float, b: float, lam: complex) -> complex:
@@ -244,16 +241,11 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
         raise ValueError("a and b must be finite")
     if k < 0:
         raise ValueError("k must be >= 0")
-    from scipy.integrate import quad
-
     env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
     # QAWO's Chebyshev moments absorb the frequency: no limit that grows with |a|
     weight, sign = ("cos", 2.0) if k % 2 == 0 else ("sin", -2.0)
-    val, err = quad(env, 0.0, PEARCEY_CUTOFF, weight=weight, wvar=a, limit=200)
-    what = f"Pearcey quadrature at a={a}, b={b}, k={k}"
-    if not math.isfinite(val):
-        raise ArithmeticError(f"{what} is not finite")
-    val = sign * _digits_known(val, err, what)
+    val = sign * _quad(env, 0.0, PEARCEY_CUTOFF, f"Pearcey quadrature at a={a}, b={b}, k={k}",
+                       weight=weight, wvar=a, limit=200)
     return complex(val, 0.0) if k % 2 == 0 else complex(0.0, val)
 
 
@@ -264,35 +256,24 @@ def _middle_saddle_value(a, b):
     return mp.sqrt(mp.pi / (b - 6 * x2**2)) * mp.exp(b / 2 * x2**2 + 3 * a / 4 * x2)
 
 
-def pearcey_saddle(a: float, b: float, k: int = 0) -> complex:
+def pearcey_saddle(a: float, b: float, k: int = 0) -> complex | None:
     """Middle-saddle approximation, extended to k >= 1 by (i d/da)^k.
 
     Defined strictly inside the one-contour region (three distinct axis
-    saddles); on the coalescence boundary the Gaussian curvature b - 6
-    x2^2 vanishes and the approximation is undefined.  The derivatives
-    are taken of the full closed form at high precision.
+    saddles) and None everywhere else: the middle saddle is absent in the
+    two-contour region, and on the coalescence boundary the Gaussian
+    curvature b - 6 x2^2 vanishes.  The derivatives are taken of the full
+    closed form at high precision.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
     if k < 0:
         raise ValueError("k must be >= 0")
-    region = pearcey_region(a, b).region
-    if region == "caustic-boundary":
-        raise ValueError("saddles coalesce on the boundary: curvature vanishes")
-    if region != "one-contour":
-        raise ValueError("middle saddle absent: two-contour region")
+    if pearcey_region(a, b).region != "one-contour":
+        return None
     with mp.workdps(40):
         if k == 0:
             val = _middle_saddle_value(mp.mpf(a), mp.mpf(b))
         else:
             val = mp.diff(lambda t: _middle_saddle_value(t, mp.mpf(b)), mp.mpf(a), k)
         return (1j) ** k * complex(val)
-
-
-def pearcey_eval(a: float, b: float, k: int = 0):
-    """(direct, saddle) pair; saddle is None (flagged) without a usable
-    middle saddle (two-contour region or coalescence boundary)."""
-    direct = pearcey_direct(a, b, k)
-    if pearcey_region(a, b).region == "one-contour":
-        return direct, pearcey_saddle(a, b, k)
-    return direct, None

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -240,3 +244,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["region"] == "caustic-boundary"
         assert payload["saddle"] is None and payload["ratio"] is None
+
+    # both exit 0 when their output is read
+    @pytest.mark.parametrize("argv", [["count", "--n", "5", "--t", "6,6,6,7,7"],
+                                      ["verify", "--suite", "count", "--format", "json"]],
+                             ids=["count", "verify"])
+    def test_closed_pipe_exits_1_quietly(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        with subprocess.Popen([sys.executable, "-m", "qmm.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src}) as proc:
+            proc.stdout.close()  # the reader is gone before the child writes
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err

@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import permutations
 
@@ -92,6 +93,17 @@ def test_uniform_counts_three_sig_figs():
 
 def test_uniform_n9_under_default_cap():
     assert count_row_sums(RowSumSpec(9, (10,) * 9)) == 846089582985032
+
+
+def test_count_leaves_no_cyclic_garbage():
+    # the memo must go with the call, not wait for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_row_sums(RowSumSpec(7, (5, 5, 6, 8, 10, 11, 11))) == 13153053
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _brute_force_count(n, t):
