@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep data for diagonal subpolytope volumes: diagonal (c,...,c,x,1-x).
 
-Emits CSV columns (x, exact, asymptotic, mc) per N; exact only where the
-closed forms exist (N = 3, 4).  The MC column uses hit-and-miss up to
-N = 6 and the row-peeling sampler beyond.
+Emits CSV columns (x, exact, asymptotic, mc, mc_se) per N; polytope picks
+the closed form and the sampler for N, and a column is nan where none
+applies (no closed form above N = 4, no sampler at N = 3).
 
 Usage: python scripts/volume_sweep.py --n 5 --points 17 --samples 200000
 """
@@ -11,14 +11,7 @@ Usage: python scripts/volume_sweep.py --n 5 --points 17 --samples 200000
 import argparse
 import math
 
-from qmm.polytope import (
-    DiagonalSpec,
-    asymptotic_volume,
-    exact_volume_n3,
-    exact_volume_n4,
-    mc_volume,
-    mc_volume_peel,
-)
+from qmm.polytope import DiagonalSpec, asymptotic_volume, exact_volume, sampled_volume
 
 
 def main() -> None:
@@ -35,16 +28,10 @@ def main() -> None:
         x = 0.25 + 0.5 * i / (args.points - 1)
         h = (args.c,) * (args.n - 2) + (x, 1.0 - x)
         spec = DiagonalSpec(args.n, h)
-        exact = float("nan")
-        if args.n == 3:
-            exact = exact_volume_n3(spec)
-        elif args.n == 4:
-            exact = exact_volume_n4(spec)
+        exact = exact_volume(spec)
+        exact = math.nan if exact is None else exact
         asym = math.exp(asymptotic_volume(spec).log_abs)
-        if args.n <= 6:
-            est, se = mc_volume(spec, args.samples, args.seed)
-        else:
-            est, se = mc_volume_peel(spec, args.samples, args.seed)
+        est, se = sampled_volume(spec, args.samples, args.seed) or (math.nan, math.nan)
         print(f"{x:.6f},{exact:.6e},{asym:.6e},{est:.6e},{se:.2e}")
 
 

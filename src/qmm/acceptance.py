@@ -331,7 +331,7 @@ def check_9(cfg: RunConfig) -> list[CheckResult]:
     b = [[Fraction(1, j + 2 * k + 1) for k in range(3)] for j in range(5)]
     binet = detkit.cauchy_binet_det(a, b)
     dense = detkit._square_det([[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a])
-    nodes = {n: [(k + 1) * n**-1.75 for k in range(n)] for n in EXPDET_RATIOS}
+    nodes = {n: detkit.exp_kernel_nodes(n) for n in EXPDET_RATIOS}
     v7 = np.vander(nodes[7], increasing=True).T
     off = np.abs(detkit.inverse_vandermonde(nodes[7]) @ v7 - np.eye(7)).max()
     out = [

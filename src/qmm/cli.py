@@ -90,17 +90,15 @@ def cmd_asym(args, cfg: RunConfig) -> tuple[int, str]:
 def cmd_volume(args, cfg: RunConfig) -> tuple[int, str]:
     spec = polytope.DiagonalSpec(len(args.h), args.h)
     payload: dict = {"n": spec.n, "chi": spec.chi}
-    if spec.n == 3:
-        payload["exact"] = polytope.exact_volume_n3(spec)
-    elif spec.n == 4:
-        payload["exact"] = polytope.exact_volume_n4(spec)
+    exact = polytope.exact_volume(spec)
+    if exact is not None:
+        payload["exact"] = exact
     if spec.chi < spec.n:
         payload["asymptotic"] = polytope.asymptotic_volume(spec).value
         payload["applicability_margin"] = polytope.applicability_margin(spec)
-    if args.mc and spec.n >= 4:
-        est, se = polytope.mc_volume(spec, cfg.mc_samples, cfg.seed)
-        payload["mc"] = est
-        payload["mc_std_error"] = se
+    mc = polytope.sampled_volume(spec, cfg.mc_samples, cfg.seed) if args.mc else None
+    if mc is not None:
+        payload["mc"], payload["mc_std_error"] = mc
     return 0, _emit(payload, cfg.output_format)
 
 
@@ -117,21 +115,16 @@ def cmd_orthopoly(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_det(args, cfg: RunConfig) -> tuple[int, str]:
-    if args.kind == "beta":
-        val = detkit.beta_det(args.n)
-        return 0, _emit({"n": args.n, "det": str(val)}, cfg.output_format)
-    if args.kind == "shifted-factorial":
-        val = detkit.shifted_factorial_det(args.n)
-        return 0, _emit({"n": args.n, "det": str(val)}, cfg.output_format)
     if args.kind == "exp-kernel":
-        nodes = [(k + 1) * args.n**-1.75 for k in range(args.n)]
+        nodes = detkit.exp_kernel_nodes(args.n)
         exact, fact, window = detkit.exp_det_factorization(nodes, nodes, 1.0)
         return 0, _emit(
             {"n": args.n, "exact": mp.nstr(exact, 15), "factored": mp.nstr(fact, 15),
              "ratio": float(exact / fact), "in_window": window},
             cfg.output_format,
         )
-    return 2, "unknown determinant kind"
+    det = {"beta": detkit.beta_det, "shifted-factorial": detkit.shifted_factorial_det}[args.kind]
+    return 0, _emit({"n": args.n, "det": str(det(args.n))}, cfg.output_format)
 
 
 def cmd_pearcey(args, cfg: RunConfig) -> tuple[int, str]:
@@ -149,18 +142,15 @@ def cmd_pearcey(args, cfg: RunConfig) -> tuple[int, str]:
 
 def cmd_partition(args, cfg: RunConfig) -> tuple[int, str]:
     spec = partition.KineticSpectrum(len(args.e), args.e, args.g)
-    payload = {
-        "log_z_free": partition.z_free(spec).log_abs,
-        "z_free": partition.z_free(spec).value,
-    }
+    z_free = partition.z_free(spec)
+    payload = {"log_z_free": z_free.log_abs, "z_free": z_free.value}
     if spec.n >= 2:
         payload["log_z_weak"] = partition.z_weak(spec).log_abs
     if args.zero_kinetic and spec.g > 0:
         payload["log_z_zero_kinetic"] = partition.z_zero_kinetic(spec.n, spec.g).log_abs
     if args.mc:
-        est, se = partition.z_mc_matrix(spec, cfg.mc_samples, cfg.seed)
-        payload["mc"] = est
-        payload["mc_std_error"] = se
+        payload["mc"], payload["mc_std_error"] = partition.z_mc_matrix(
+            spec, cfg.mc_samples, cfg.seed)
     return 0, _emit(payload, cfg.output_format)
 
 
@@ -256,14 +246,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config).override(
+            seed=args.seed, mc_samples=args.samples, output_format=args.format)
     except (OSError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    cfg = cfg.override(seed=args.seed, mc_samples=args.samples, output_format=args.format)
-    if cfg.mc_samples < 1:
-        print(f"error: sample count (--samples, mc_samples) must be >= 1, got {cfg.mc_samples}",
-              file=sys.stderr)
         return 2
     try:
         code, text = COMMANDS[args.command](args, cfg)

@@ -2,7 +2,7 @@
 
 Plain key=value config files; environment variables with the QMM_ prefix
 override file values, command-line flags override both.  Unknown keys,
-malformed lines and bad values raise ValueError.
+malformed lines and out-of-range values raise ValueError.
 """
 
 from __future__ import annotations
@@ -13,14 +13,25 @@ from dataclasses import dataclass, replace
 from .counting import DEFAULT_STATE_CAP
 
 ENV_PREFIX = "QMM_"
+OUTPUT_FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every field is range-checked here, whichever source set it."""
+
     seed: int = 42
     mc_samples: int = 100_000
-    output_format: str = "text"  # text | json | csv
+    output_format: str = "text"  # one of OUTPUT_FORMATS
     state_cap: int = DEFAULT_STATE_CAP
+
+    def __post_init__(self):
+        for key, low in (("seed", 0), ("mc_samples", 1), ("state_cap", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.output_format not in OUTPUT_FORMATS:
+            raise ValueError(f"output_format must be one of {', '.join(OUTPUT_FORMATS)}, "
+                             f"got {self.output_format!r}")
 
     def override(self, **kwargs) -> "RunConfig":
         clean = {k: v for k, v in kwargs.items() if v is not None}
@@ -28,7 +39,6 @@ class RunConfig:
 
 
 _INT_KEYS = {"seed", "mc_samples", "state_cap"}
-OUTPUT_FORMATS = ("text", "json", "csv")
 
 
 def _coerce(key: str, value: str):
@@ -39,9 +49,6 @@ def _coerce(key: str, value: str):
             return int(float(value))
         except (ValueError, OverflowError):
             raise ValueError(f"{key} must be an integer, got {value!r}") from None
-    if key == "output_format" and value not in OUTPUT_FORMATS:
-        raise ValueError(f"output_format must be one of {', '.join(OUTPUT_FORMATS)}, "
-                         f"got {value!r}")
     return value
 
 

@@ -27,7 +27,7 @@ def vandermonde_det(nodes) -> float:
     numpy arrays of equal shape, e.g. list(lam.T) for a per-row product.
     """
     x = list(nodes)
-    out = 1.0 if not isinstance(x[0] if x else 0, (Fraction, int)) else Fraction(1)
+    out = 1  # the nodes' own arithmetic picks the field, as in det_rows
     for k, l in combinations(range(len(x)), 2):
         out = out * (x[l] - x[k])
     return out
@@ -57,6 +57,11 @@ def inverse_vandermonde(nodes) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # exp-kernel factorization
+
+
+def exp_kernel_nodes(n: int) -> list[float]:
+    """The n table nodes (k + 1) n^(-7/4), k < n, of the exp-kernel ratios."""
+    return [(k + 1) * n**-1.75 for k in range(n)]
 
 
 def _mp_nodes(x, y):
@@ -141,8 +146,8 @@ def exp_kernel_ratio(x, y, c: float) -> float:
 def cauchy_binet_det(a, b):
     """det(A B) as the sum over m-subsets of minor products.
 
-    A is m x n, B is n x m with m <= n; exact on Fraction input.  m > n
-    returns 0 (rank).
+    A is m x n, B is n x m; exact on Fraction input.  m > n has no
+    m-subset and returns 0 (rank).
     """
     rows_a = [list(r) for r in a]
     rows_b = [list(r) for r in b]
@@ -150,18 +155,12 @@ def cauchy_binet_det(a, b):
     n = len(rows_a[0]) if rows_a else 0
     if len(rows_b) != n or (rows_b and len(rows_b[0]) != m):
         raise ValueError("shape mismatch: need (m x n) and (n x m)")
-    if m > n:
-        return Fraction(0) if _is_exact(rows_a) else 0.0
-    total = Fraction(0) if _is_exact(rows_a) and _is_exact(rows_b) else 0.0
+    total = 0
     for subset in combinations(range(n), m):
         minor_a = [[rows_a[i][j] for j in subset] for i in range(m)]
         minor_b = [[rows_b[j][i] for i in range(m)] for j in subset]
         total = total + _square_det(minor_a) * _square_det(minor_b)
     return total
-
-
-def _is_exact(rows) -> bool:
-    return all(isinstance(v, (int, Fraction)) for row in rows for v in row)
 
 
 def _square_det(rows):

@@ -122,21 +122,12 @@ def distinct_partition_count(m: int, n: int) -> int:
         raise ValueError("m must be >= 1")
     if n < 0:
         return 0
-    table: dict[tuple[int, int], int] = {}
-
-    def rec(mm: int, nn: int) -> int:
-        if nn < mm * (mm - 1) // 2:
-            return 0
-        if mm == 1:
-            return 1
-        key = (mm, nn)
-        v = table.get(key)
-        if v is None:
-            v = rec(mm - 1, nn - mm + 1) + rec(mm, nn - mm)
-            table[key] = v
-        return v
-
-    return rec(m, n)
+    row = [1] * (n + 1)  # p_1(nn) for nn = 0..n
+    for mm in range(2, m + 1):
+        prev, row = row, [0] * (n + 1)
+        for nn in range(mm * (mm - 1) // 2, n + 1):
+            row[nn] = prev[nn - mm + 1] + (row[nn - mm] if nn >= mm else 0)
+    return row[n]
 
 
 def distinct_partition_bound(m: int, n: int) -> float:
@@ -186,8 +177,6 @@ def symmetric_pole_sum(kind: str, p: int, x, z=None):
 
 def complete_homogeneous(m: int, x) -> Fraction:
     """Complete homogeneous symmetric polynomial h_m(x), exact."""
-    x = list(x)
-    n = len(x)
     # h_m via Newton-free DP over variables
     table = [Fraction(0)] * (m + 1)
     table[0] = Fraction(1)
@@ -204,15 +193,9 @@ def factorial_composition_identity(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = Fraction(0)
-
-    def rec(remaining: int, m: int, prod: Fraction):
-        nonlocal total
-        if remaining == 0:
-            total += Fraction(-1) ** (m + n) * prod
-            return
-        for mu in range(1, remaining + 1):
-            rec(remaining - mu, m + 1, prod / math.factorial(mu))
-
-    rec(n, 0, Fraction(1))
-    return total
+    # signed[r]: the sum over compositions of r of (-1)^m prod 1/mu_i!,
+    # grouped by the last part mu
+    signed = [Fraction(1)]
+    for r in range(1, n + 1):
+        signed.append(-sum(signed[r - mu] / math.factorial(mu) for mu in range(1, r + 1)))
+    return (-1) ** n * signed[n]

@@ -194,7 +194,7 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = quartic_r_sequence(max(2 * n, 2))
+    table = quartic_r_sequence(2 * n)
     with mp.workdps(max(30, 10 * n)):
         gammas = MomentSeq(tuple(mp.gamma(mp.mpf(2 * j + 1) / 4) for j in range(2 * n - 1)))
         direct = float(gammas.hankel_det(n - 1))
@@ -210,7 +210,7 @@ def u_coefficients(n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = quartic_r_sequence(max(2 * n_max, 2))
+    table = quartic_r_sequence(2 * n_max)
     u = np.zeros((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
         u[m, : m + 1] = table.polynomial_coeffs(2 * m)[0::2]

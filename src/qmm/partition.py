@@ -120,7 +120,7 @@ def z_zero_kinetic(n: int, g: float) -> LogValue:
         raise ValueError("n must be >= 1")
     if g <= 0:
         raise ValueError("coupling must be positive")
-    table = quartic_r_sequence(max(n, 2))
+    table = quartic_r_sequence(n)
     ln = (n * (n - 1) // 2) * math.log(math.pi) - _sum_lgamma(n)
     ln += -(n * n / 4.0) * math.log(g)
     ln += math.lgamma(n + 1)
@@ -260,17 +260,13 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
 
     The quadratic form is diagonal in the matrix components, so the
     proposal is exact at g = 0 and the estimator is z_free * mean
-    exp(-g Tr X^4); at g = 0 that is z_free exactly, returned without
-    sampling.  Deterministic per seed.
+    exp(-g Tr X^4); at g = 0 every weight is 1 and that is z_free exactly,
+    with stderr 0.  Deterministic per seed.
     """
     n = spec.n
     if n > 4:
         raise ValueError("matrix MC limited to n <= 4 (N^2-dimensional integral)")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     zf = z_free(spec).value
-    if spec.g == 0.0:
-        return zf, 0.0
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))
     sd_diag = 1.0 / np.sqrt(2.0 * e)

@@ -2,8 +2,9 @@
 
 Exact formulas for N=3 (point polytope) and N=4 (piecewise quadratic),
 two Monte-Carlo oracles (hit-and-miss over the free off-diagonal block,
-and a row-peeling simplex sampler that stays usable at N ~ 9), and the
-asymptotic product formula with its applicability diagnostic.
+and a row-peeling simplex sampler that stays usable at N ~ 9), the rule
+that picks the closed form and the sampler at each N, and the asymptotic
+product formula with its applicability diagnostic.
 
 Conventions: h_j are the diagonal entries, u_j = 1 - h_j the off-diagonal
 row sums, s_{i..} = (sum u)/2 - u_i - ...  Volumes are Lebesgue measure in
@@ -115,8 +116,6 @@ def mc_volume(
     pairs = _free_pairs(n)
     box = np.array([min(u[k - 1], u[l - 1]) for k, l in pairs])
     box_vol = float(np.prod(box))
-    if box_vol == 0.0:
-        return 0.0, 0.0
 
     total = sum(u)
     s12 = total / 2.0 - u[0] - u[1]
@@ -160,9 +159,6 @@ def mc_volume_peel(
         raise ValueError("need at least 1e3 samples")
     n = spec.n
     u0 = np.asarray(spec.u)
-    if np.any(u0 <= 0.0):
-        # a unit diagonal entry pins its row: measure zero in full dimension
-        return 0.0, 0.0
 
     def weights(rng, batch):
         u = np.tile(u0, (batch, 1))
@@ -182,6 +178,28 @@ def mc_volume_peel(
         return w * _exact_volume_n4_rowsum(u[:, :4])
 
     return mc_mean(weights, samples, seed)
+
+
+def exact_volume(spec: DiagonalSpec) -> float | None:
+    """The closed-form volume: the N=3 indicator, the N=4 formula, None above."""
+    if spec.n == 3:
+        return exact_volume_n3(spec)
+    if spec.n == 4:
+        return exact_volume_n4(spec)
+    return None
+
+
+def sampled_volume(spec: DiagonalSpec, samples: int, seed: int) -> tuple[float, float] | None:
+    """(mean, stderr) of the Monte Carlo oracle for N; None at N=3 (a point).
+
+    Hit-and-miss at N=4, the independent check of the N=4 formula; row
+    peeling at N >= 5, where hit-and-miss hits too rarely (not once in 1e5
+    samples at N=7, h=0.5).
+    """
+    if spec.n == 3:
+        return None
+    sampler = mc_volume if spec.n == 4 else mc_volume_peel
+    return sampler(spec, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -22,14 +23,19 @@ K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of th
 
 def _quad(f, lo, hi, what: str, **kw):
     """scipy's quad of f over [lo, hi]: its value, unless that value is not
-    finite or a nonzero error estimate reaches |value| (ArithmeticError)."""
-    from scipy.integrate import quad
+    finite, a nonzero error estimate reaches |value|, or quad warned
+    (ArithmeticError, tested in that order; a warning is not printed)."""
+    from scipy.integrate import IntegrationWarning, quad
 
-    val, err = quad(f, lo, hi, **kw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        val, err = quad(f, lo, hi, **kw)
     if not cmath.isfinite(val):
         raise ArithmeticError(f"{what} is not finite")
     if err and abs(err) >= abs(val):
         raise ArithmeticError(f"{what}: error estimate {abs(err):.1e} >= |value| {abs(val):.1e}")
+    if caught:
+        raise ArithmeticError(f"{what}: {str(caught[0].message).strip().splitlines()[0]}")
     return val
 
 

@@ -10,9 +10,11 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from qmm.cli import main
+from qmm import acceptance, detkit
+from qmm.cli import COMMANDS, main
 from qmm.counting import DEFAULT_STATE_CAP
 from qmm.config import RunConfig, load_config
+from qmm.polytope import DiagonalSpec, mc_volume_peel
 
 
 class TestConfig:
@@ -34,6 +36,14 @@ class TestConfig:
         path.write_text("seed 7\n")
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("field,value", [("seed", -1), ("mc_samples", 0),
+                                             ("state_cap", 0), ("output_format", "yaml")])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            RunConfig().override(**{field: value})
 
 
 class TestCli:
@@ -57,6 +67,23 @@ class TestCli:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_volume_mc_n7_peels(self, capsys):
+        # hit-and-miss finds no hit in 1e5 samples here and would print 0 +- 0
+        h = (0.5,) * 7
+        assert main(["volume", "--h", ",".join(map(str, h)), "--mc", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mc"] > 0 and payload["mc_std_error"] > 0
+        assert (payload["mc"], payload["mc_std_error"]) == mc_volume_peel(
+            DiagonalSpec(7, h), 100_000, 42)
+
+    def test_det_and_criterion_9_share_nodes(self, capsys, monkeypatch):
+        asked = []
+        nodes = detkit.exp_kernel_nodes
+        monkeypatch.setattr(detkit, "exp_kernel_nodes", lambda n: asked.append(n) or nodes(n))
+        assert main(["det", "--kind", "exp-kernel", "--n", "7"]) == 0
+        acceptance.check_9(RunConfig())
+        assert asked == [7, *acceptance.EXPDET_RATIOS]
 
     def test_usage_error_exit_2(self):
         assert main(["count", "--n", "5", "--badflag", "1"]) == 2
@@ -107,7 +134,40 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be >= 1" in captured.err
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    # the smallest valid call of each subcommand, --samples 0 appended below
+    MINIMAL_ARGV = {
+        "count": ["--n", "3", "--t", "1,1,2"],
+        "asym": ["--n", "3", "--t", "2,2,2"],
+        "volume": ["--h", "0.5,0.5,0.5,0.5"],
+        "orthopoly": ["--n", "2"],
+        "det": ["--kind", "beta", "--n", "2"],
+        "pearcey": ["--a", "1", "--b", "1"],
+        "partition": ["--e", "1,1.1"],
+        "verify": ["--suite", "utilities"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_samples_exit_2_on_every_command(self, capsys, command):
+        rc = main([command, *self.MINIMAL_ARGV[command], "--samples", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: config: mc_samples must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("env,flags", [({"QMM_STATE_CAP": "0"}, []),
+                                           ({"QMM_SEED": "-1"}, []),
+                                           ({"QMM_MC_SAMPLES": "0"}, []),
+                                           ({}, ["--seed", "-1"])],
+                             ids=["env-state-cap", "env-seed", "env-samples", "flag-seed"])
+    def test_out_of_range_config_exit_2(self, capsys, monkeypatch, env, flags):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        rc = main(["count", "--n", "5", "--t", "6,6,6,7,7", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: config: ")
+
     def test_pearcey_huge_a_exit_1(self, capsys):
         # quad returns nan at |a| ~ 1e300; that is a numerical failure, not a crash
         rc = main(["pearcey", "--a", "1e300", "--b", "1"])
@@ -155,6 +215,7 @@ class TestCli:
         "output_format=yaml\n",
         "seed=7\nbogus=1\n",
         "tolerances=1\n",
+        "state_cap=0\n",
     ])
     def test_bad_config_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -128,6 +129,19 @@ class TestCompositionIdentity:
             assert numkit.factorial_composition_identity(n) == Fraction(
                 1, math.factorial(n)
             )
+
+
+@pytest.mark.parametrize("call", [lambda: numkit.distinct_partition_count(4, 30),
+                                  lambda: numkit.factorial_composition_identity(8)],
+                         ids=["distinct_partition_count", "factorial_composition_identity"])
+def test_leaves_no_cyclic_garbage(call):
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPoleSumsComplex:

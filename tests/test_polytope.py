@@ -11,10 +11,12 @@ from qmm.polytope import (
     applicability_margin,
     asymptotic_volume,
     asymptotic_volume_rowsum,
+    exact_volume,
     exact_volume_n3,
     exact_volume_n4,
     mc_volume,
     mc_volume_peel,
+    sampled_volume,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -86,6 +88,8 @@ class TestMonteCarlo:
     def test_infeasible_diagonal(self):
         est, se = mc_volume(DiagonalSpec(4, (1.0, 1.0, 1.0, 0.5)), 10_000, seed=3)
         assert est == 0.0 and se == 0.0
+        # a unit entry empties the sampling box: every weight is 0
+        assert mc_volume(DiagonalSpec(4, (0.5, 1.0, 0.5, 0.5)), 10_000, seed=3) == (0.0, 0.0)
 
     def test_deterministic_per_seed(self):
         spec = DiagonalSpec(4, (0.6, 0.5, 0.55, 0.45))
@@ -115,11 +119,35 @@ class TestPeelOracle:
         spec = DiagonalSpec(6, (0.5,) * 6)
         assert mc_volume_peel(spec, 20_000, seed=5) == mc_volume_peel(spec, 20_000, seed=5)
 
+    @pytest.mark.parametrize("h", [(1.0, 0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 1.0, 0.5, 0.5),
+                                   (0.5, 0.5, 0.5, 0.5, 1.0), (1.0,) * 5],
+                             ids=["first", "middle", "last", "all"])
+    def test_unit_diagonal_entry_gives_zero(self, h):
+        # a unit entry pins its row: measure zero in full dimension
+        assert mc_volume_peel(DiagonalSpec(5, h), 10_000, seed=3) == (0.0, 0.0)
+
     def test_n9_reasonable(self):
         spec = DiagonalSpec(9, (0.5,) * 9)
         est, se = mc_volume_peel(spec, 30_000, seed=6)
         assert est > 0
         assert abs(asymptotic_volume(spec).value / est - 1.0) < 0.25
+
+
+class TestMethodRule:
+    def test_exact_volume_only_at_n3_and_n4(self):
+        spec3 = DiagonalSpec(3, (0.2, 0.4, 0.6))
+        spec4 = DiagonalSpec(4, (0.8, 0.6, 0.4, 0.3))
+        assert exact_volume(spec3) == exact_volume_n3(spec3)
+        assert exact_volume(spec4) == exact_volume_n4(spec4)
+        assert exact_volume(DiagonalSpec(5, (0.5,) * 5)) is None
+
+    def test_sampler_by_n(self):
+        assert sampled_volume(DiagonalSpec(3, (0.5,) * 3), 10_000, 1) is None
+        spec4 = DiagonalSpec(4, (0.8, 0.6, 0.4, 0.3))
+        assert sampled_volume(spec4, 10_000, 1) == mc_volume(spec4, 10_000, 1)
+        for n in (5, 7):
+            spec = DiagonalSpec(n, (0.5,) * n)
+            assert sampled_volume(spec, 10_000, 1) == mc_volume_peel(spec, 10_000, 1)
 
 
 class TestAsymptoticVolume:

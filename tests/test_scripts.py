@@ -19,14 +19,25 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
-    args, header = SCRIPTS[script]
+def _run(script, args):
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.returncode == 0, out.stderr
-    assert header.split() in [line.split() for line in out.stdout.splitlines()]
+    return out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    args, header = SCRIPTS[script]
+    assert header.split() in [line.split() for line in _run(script, args)]
+
+
+def test_volume_sweep_n3_has_no_sampler():
+    # the N = 3 polytope is a point: exact indicator, nan MC columns
+    lines = _run("volume_sweep.py", ["--n", "3", "--points", "3", "--samples", "2000"])
+    assert lines[0] == "x,exact,asymptotic,mc,mc_se"
+    assert [line.split(",")[3:] for line in lines[1:]] == [["nan", "nan"]] * 3
 
 
 def test_every_script_has_a_run():
