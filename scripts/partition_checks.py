@@ -12,6 +12,7 @@ import argparse
 import math
 
 from qmm.partition import (
+    MATRIX_MC_MAX_N,
     KineticSpectrum,
     z_free,
     z_mc_eigen,
@@ -32,10 +33,11 @@ def main() -> None:
     for g in (0.0, 0.001, 0.01, 0.1, 0.5):
         spec = KineticSpectrum(len(e), e, g)
         free = z_free(spec).value
-        weak = math.exp(z_weak_expanded(spec).log_abs)
+        weak = z_weak_expanded(spec)
+        weak = math.nan if weak is None else weak.value
         emc, ese = z_mc_eigen(spec, args.samples, args.seed)
         row = f"{g:>8.3f} {free:>10.4f} {weak:>10.4f} {emc:>12.4f} +- {ese:<6.4f}"
-        if len(e) <= 4:
+        if len(e) <= MATRIX_MC_MAX_N:
             mmc, mse = z_mc_matrix(spec, args.samples, args.seed)
             row += f" {mmc:>12.4f} +- {mse:<6.4f}"
         print(row)

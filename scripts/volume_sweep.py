@@ -25,7 +25,7 @@ def main() -> None:
 
     print("x,exact,asymptotic,mc,mc_se")
     for i in range(args.points):
-        x = 0.25 + 0.5 * i / (args.points - 1)
+        x = 0.25 + 0.5 * i / (args.points - 1) if args.points > 1 else 0.5
         h = (args.c,) * (args.n - 2) + (x, 1.0 - x)
         spec = DiagonalSpec(args.n, h)
         exact = exact_volume(spec)

@@ -392,9 +392,8 @@ def check_10(cfg: RunConfig) -> list[CheckResult]:
                     "quartic-phase integral table, ratio column", ok_ratio, detail,
                     known_issue=not ok_ratio and 0 not in bad)
     )
-    res = max(
-        abs(quadrature._phase_derivative(a, b, lam)) for lam in (1j, 2j, -3j)
-    )
+    # residual of the phase derivative 4 lam^3 + 2 b lam + i a at the printed saddles
+    res = max(abs(4.0 * lam**3 + 2.0 * b * lam + 1j * a) for lam in (1j, 2j, -3j))
     found = sorted(s.imag for s in quadrature.pearcey_saddles(a, b))
     ok_saddle = res < 1e-10 and np.allclose(found, [-3.0, 1.0, 2.0], atol=1e-9)
     out.append(

@@ -93,8 +93,9 @@ def cmd_volume(args, cfg: RunConfig) -> tuple[int, str]:
     exact = polytope.exact_volume(spec)
     if exact is not None:
         payload["exact"] = exact
-    if spec.chi < spec.n:
-        payload["asymptotic"] = polytope.asymptotic_volume(spec).value
+    asym = polytope.asymptotic_volume(spec)
+    if asym is not None:
+        payload["asymptotic"] = asym.value
         payload["applicability_margin"] = polytope.applicability_margin(spec)
     mc = polytope.sampled_volume(spec, cfg.mc_samples, cfg.seed) if args.mc else None
     if mc is not None:
@@ -144,10 +145,10 @@ def cmd_partition(args, cfg: RunConfig) -> tuple[int, str]:
     spec = partition.KineticSpectrum(len(args.e), args.e, args.g)
     z_free = partition.z_free(spec)
     payload = {"log_z_free": z_free.log_abs, "z_free": z_free.value}
-    if spec.n >= 2:
-        payload["log_z_weak"] = partition.z_weak(spec).log_abs
-    if args.zero_kinetic and spec.g > 0:
-        payload["log_z_zero_kinetic"] = partition.z_zero_kinetic(spec.n, spec.g).log_abs
+    closed = {"log_z_weak": partition.z_weak(spec)}
+    if args.zero_kinetic:
+        closed["log_z_zero_kinetic"] = partition.z_zero_kinetic(spec.n, spec.g)
+    payload.update({key: z.log_abs for key, z in closed.items() if z is not None})
     if args.mc:
         payload["mc"], payload["mc_std_error"] = partition.z_mc_matrix(
             spec, cfg.mc_samples, cfg.seed)

@@ -21,6 +21,7 @@ from .numkit import LogValue, mc_mean, power_sums
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
+MATRIX_MC_MAX_N = 4  # z_mc_matrix samples N^2 real components
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,17 @@ def z_free(spec: KineticSpectrum) -> LogValue:
     return LogValue(ln)
 
 
-def z_weak(spec: KineticSpectrum) -> LogValue:
+def z_weak(spec: KineticSpectrum) -> LogValue | None:
     """Weak-coupling closed form, exactly as printed.
 
     sqrt((N-1)/N) prod(sqrt(pi/e_m) e_m^(1-N)) (pi N / (2 sum 1/e))^binom(N,2)
     exp(-sum 3g/(4 e_m^2)).  Carries a residual sqrt((N-1)/N) against
     z_free at the symmetric spectrum; see z_weak_expanded and the verify
-    report, which surface that constant rather than absorb it.
+    report, which surface that constant rather than absorb it.  None at N = 1.
     """
     n = spec.n
     if n < 2:
-        raise ValueError("weak-coupling form needs n >= 2")
+        return None
     e = spec.e
     inv_sum = sum(1.0 / em for em in e)
     ln = 0.5 * math.log((n - 1) / n)
@@ -88,16 +89,16 @@ def z_weak(spec: KineticSpectrum) -> LogValue:
     return LogValue(ln)
 
 
-def z_weak_expanded(spec: KineticSpectrum) -> LogValue:
+def z_weak_expanded(spec: KineticSpectrum) -> LogValue | None:
     """Relative-deviation expansion of the weak-coupling form, as printed.
 
     It drops z_weak's sqrt((N-1)/N) constant, so it normalises to z_free at
     the symmetric spectrum; adding 0.5 log((N-1)/N) gives a true expansion
-    of z_weak (log-agreement ~1e-11 at |eps| <= 0.01).
+    of z_weak (log-agreement ~1e-11 at |eps| <= 0.01).  None at N = 1.
     """
     n = spec.n
     if n < 2:
-        raise ValueError("weak-coupling form needs n >= 2")
+        return None
     xi = spec.xi
     eps = spec.eps_tilde
     _, _, s2, s3, s4, s5, s6 = power_sums(eps, 6)
@@ -111,15 +112,17 @@ def z_weak_expanded(spec: KineticSpectrum) -> LogValue:
     return LogValue(ln)
 
 
-def z_zero_kinetic(n: int, g: float) -> LogValue:
+def z_zero_kinetic(n: int, g: float) -> LogValue | None:
     """Zero-kinetics partition: U g^(-N^2/4) N! prod_{t<N} h_t.
 
-    h_t are the quartic-weight norms; U = pi^binom(N,2)/prod_{m<=N} m!.
+    h_t are the quartic-weight norms; U = pi^binom(N,2)/prod_{m<=N} m!; None at g = 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if g <= 0:
-        raise ValueError("coupling must be positive")
+    if g < 0:
+        raise ValueError("coupling must be >= 0")
+    if g == 0:
+        return None
     table = quartic_r_sequence(n)
     ln = (n * (n - 1) // 2) * math.log(math.pi) - _sum_lgamma(n)
     ln += -(n * n / 4.0) * math.log(g)
@@ -264,8 +267,8 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
     with stderr 0.  Deterministic per seed.
     """
     n = spec.n
-    if n > 4:
-        raise ValueError("matrix MC limited to n <= 4 (N^2-dimensional integral)")
+    if n > MATRIX_MC_MAX_N:
+        raise ValueError(f"matrix MC limited to n <= {MATRIX_MC_MAX_N} (N^2-dimensional integral)")
     zf = z_free(spec).value
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))

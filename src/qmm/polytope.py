@@ -229,10 +229,10 @@ def asymptotic_volume_rowsum(u) -> LogValue:
     return LogValue(ln)
 
 
-def asymptotic_volume(spec: DiagonalSpec) -> LogValue:
-    """Asymptotic volume of the diagonal subpolytope, log space."""
+def asymptotic_volume(spec: DiagonalSpec) -> LogValue | None:
+    """Asymptotic volume of the diagonal subpolytope, log space; None at chi = n."""
     if spec.chi >= spec.n:
-        raise ValueError("degenerate all-identity corner: chi must be < n")
+        return None
     return asymptotic_volume_rowsum(spec.u)
 
 

@@ -16,27 +16,48 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-PEARCEY_CUTOFF = 12.0  # exp(-12^4) tail, far below any tolerance
 BOUNDARY_TOL = 1e-9
 K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of the sum
+ENVELOPE_EXPONENT = 700.0  # e^-700 < 1e-304: the envelope's tail past L is below any value
 
 
-def _quad(f, lo, hi, what: str, **kw):
-    """scipy's quad of f over [lo, hi]: its value, unless that value is not
-    finite, a nonzero error estimate reaches |value|, or quad warned
-    (ArithmeticError, tested in that order; a warning is not printed)."""
+def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
+    """I_k = int x^k exp(i a x - b x^2 + i c x^3 - d x^4) dx over the real line.
+
+    The envelope x^k e^(-b x^2 - d x^4) has the parity of k and the phase
+    a x + c x^3 is odd, so I_k is 2 (2i for odd k) times the cos (sin)
+    integral over [0, L], b L^2 + d L^4 = 700.  ArithmeticError when the
+    phase is not finite at L, or quad's value is not finite, its nonzero
+    error estimate reaches |value|, or quad warned (in that order).
+    """
     from scipy.integrate import IntegrationWarning, quad
+
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if not (d >= 0 and (b > 0 or d > 0)):
+        raise ValueError("need d >= 0 and b > 0 or d > 0 for convergence")
+    # L^2 is the positive root of d y^2 + b y = 700, in the form that does not cancel
+    rt = math.hypot(b, 2.0 * math.sqrt(d * ENVELOPE_EXPONENT))
+    lim = math.sqrt(2.0 * ENVELOPE_EXPONENT / (b + rt) if b > 0 else (rt - b) / (2.0 * d))
+    what = f"quartic-phase quadrature I_{k} at (a, b, c, d) = ({a}, {b}, {c}, {d})"
+    if not math.isfinite(abs(a) * lim + abs(c) * lim**3):
+        raise ArithmeticError(f"{what}: phase is not finite at x = {lim:.3g}")
+    trig = math.cos if k % 2 == 0 else math.sin
+
+    def integrand(x):
+        return x**k * math.exp(-b * x * x - d * x**4) * trig(a * x + c * x**3)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        val, err = quad(f, lo, hi, **kw)
-    if not cmath.isfinite(val):
+        val, err = quad(integrand, 0.0, lim, limit=200)
+    val, err = 2.0 * val, 2.0 * err  # the fold doubles both
+    if not math.isfinite(val):
         raise ArithmeticError(f"{what} is not finite")
-    if err and abs(err) >= abs(val):
-        raise ArithmeticError(f"{what}: error estimate {abs(err):.1e} >= |value| {abs(val):.1e}")
+    if err and err >= abs(val):
+        raise ArithmeticError(f"{what}: error estimate {err:.1e} >= |value| {abs(val):.1e}")
     if caught:
         raise ArithmeticError(f"{what}: {str(caught[0].message).strip().splitlines()[0]}")
-    return val
+    return complex(val, 0.0) if k % 2 == 0 else complex(0.0, val)
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +148,8 @@ def saddle_shift_root(a, b, c, d) -> complex:
 
 
 def quartic_gauss_direct(a, b, c, d) -> complex:
-    """Adaptive-quadrature oracle for the variant integrals (ArithmeticError
-    when quad's value is not finite or not above its error estimate)."""
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    decay = max(b.real, 0.0) + max(d.real, 0.0)
-    cutoff = 50.0 if decay < 0.1 else min(60.0, 12.0 / decay**0.25 + 20.0)
-
-    def integrand(x):
-        return cmath.exp(1j * a * x - b * x * x + 1j * c * x**3 - d * x**4)
-
-    what = f"quartic-Gaussian quadrature at {(a, b, c, d)}"
-    return complex(_quad(integrand, -cutoff, cutoff, what, limit=600, complex_func=True))
+    """Quadrature oracle for the variant integrals at real a, b, c, d."""
+    return _quartic_phase(0, a, b, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +188,13 @@ def k_series(n: int, mu: float) -> float:
 
 
 def k_quadrature(n: int, mu: float) -> float:
-    """Direct quadrature of int_0^inf lam^(n-1/2) e^(-lam - lam^2/mu)
-    (ArithmeticError when quad's error estimate reaches the value)."""
-    if mu <= 0:
-        return 0.0
-    return _quad(lambda lam: lam ** (n - 0.5) * math.exp(-lam - lam * lam / mu), 0.0, np.inf,
-                 f"k_n quadrature at n={n}, mu={mu}", limit=400)
+    """Quadrature of int_0^inf lam^(n-1/2) e^(-lam - lam^2/mu): lam = s^2 makes
+    it the even-moment integral over the real line."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    return _quartic_phase(2 * n, 0.0, 1.0, 0.0, 1.0 / mu).real if mu else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +236,6 @@ def pearcey_region(a: float, b: float) -> PearceyPoint:
     return PearceyPoint(region=region, discriminant=disc)
 
 
-def _phase_derivative(a: float, b: float, lam: complex) -> complex:
-    return 4.0 * lam**3 + 2.0 * b * lam + 1j * a
-
-
 def pearcey_saddles(a: float, b: float) -> tuple[complex, ...]:
     """All three saddles of lam^4 + b lam^2 + i a lam: roots of 4 lam^3 + 2 b lam + i a.
 
@@ -236,23 +245,11 @@ def pearcey_saddles(a: float, b: float) -> tuple[complex, ...]:
 
 
 def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
-    """Adaptive quadrature of int lam^k exp(-(lam^4 + b lam^2 + i a lam)).
-
-    The decaying-envelope form is absolutely convergent; the oscillation
-    exp(-i a lam) is handled with weighted quadrature.  Real for even k,
-    purely imaginary for odd k.  ArithmeticError when quad's value is not
-    finite or not above its error estimate (large |a|).
-    """
+    """Quadrature of int lam^k exp(-(lam^4 + b lam^2 + i a lam)): real for
+    even k, purely imaginary for odd k."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    env = lambda t: t**k * math.exp(-(t**4) - b * t * t)
-    # QAWO's Chebyshev moments absorb the frequency: no limit that grows with |a|
-    weight, sign = ("cos", 2.0) if k % 2 == 0 else ("sin", -2.0)
-    val = sign * _quad(env, 0.0, PEARCEY_CUTOFF, f"Pearcey quadrature at a={a}, b={b}, k={k}",
-                       weight=weight, wvar=a, limit=200)
-    return complex(val, 0.0) if k % 2 == 0 else complex(0.0, val)
+    return _quartic_phase(k, -a, b, 0.0, 1.0)
 
 
 def _middle_saddle_value(a, b):

@@ -169,16 +169,18 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: config: ")
 
     def test_pearcey_huge_a_exit_1(self, capsys):
-        # quad returns nan at |a| ~ 1e300; that is a numerical failure, not a crash
-        rc = main(["pearcey", "--a", "1e300", "--b", "1"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert "not finite" in captured.err
+        # quad has no digit at |a| = 1e300, and a x overflows at 1e308: both are
+        # numerical failures, not crashes
+        for a, message in (("1e300", "error estimate"), ("1e308", "not finite")):
+            rc = main(["pearcey", "--a", a, "--b", "1"])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+            assert message in captured.err
 
     def test_pearcey_value_below_error_exit_1(self, capsys):
-        # quad gives -7.5e-37 with abserr 2.1e-36 here: no digit of it is known
+        # quad gives 1.9e-2 with abserr 4.1e-2 here: no digit of it is known
         rc = main(["pearcey", "--a", "1e20", "--b", "1"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -286,6 +288,16 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["volume", "--h", "1,1,1,1"], {"asymptotic", "applicability_margin"}),
+        (["partition", "--e", "1.0", "--zero-kinetic"], {"log_z_weak", "log_z_zero_kinetic"}),
+    ])
+    def test_inapplicable_formula_left_out(self, capsys, argv, absent):
+        # chi = n, N = 1 and g = 0: the formulas return None and the keys are absent
+        rc = main([*argv, "--format", "json"])
+        assert rc == 0
+        assert not absent & set(json.loads(capsys.readouterr().out))
 
     def test_asym_exact_count_zero(self, capsys):
         # an odd total admits no symmetric zero-diagonal matrix; the ratio to a

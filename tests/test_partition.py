@@ -79,6 +79,10 @@ class TestZWeak:
             diff = z_weak(spec).log_abs - z_free(spec).log_abs
             assert diff == pytest.approx(0.5 * math.log((n - 1) / n), abs=1e-12)
 
+    def test_single_eigenvalue_is_none(self):
+        spec = KineticSpectrum(1, (1.0,), 0.1)
+        assert z_weak(spec) is None and z_weak_expanded(spec) is None
+
     def test_weak_coupling_vs_mc_symmetric_spectrum(self):
         # the closed form is honest only while the quartic term is truly
         # perturbative: within 5% of the MC oracle at g = 0.002
@@ -128,8 +132,9 @@ class TestZZeroKinetic:
         assert abs(est - expect) <= max(3 * se, 0.05 * expect)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            z_zero_kinetic(2, 0.0)
+        assert z_zero_kinetic(2, 0.0) is None
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            z_zero_kinetic(2, -1.0)
 
 
 class TestEigenIntegrand:

@@ -173,9 +173,8 @@ class TestAsymptoticVolume:
         )
         assert asymptotic_volume(spec).log_abs == pytest.approx(expect, rel=1e-12)
 
-    def test_degenerate_corner_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            asymptotic_volume(DiagonalSpec(5, (1.0,) * 5))
+    def test_degenerate_corner_is_none(self):
+        assert asymptotic_volume(DiagonalSpec(5, (1.0,) * 5)) is None
 
     def test_applicability_margin(self):
         near = applicability_margin(DiagonalSpec(9, (0.5,) * 8 + (0.52,)))

@@ -106,7 +106,7 @@ class TestQuarticGaussSaddle:
         assert errs[0] > errs[1] > errs[2]
 
     def test_direct_rejects_value_below_its_error(self):
-        # a = sqrt(256): quad returns 2.3e-16, 40-digit mpmath gives 2.2557e-25
+        # a = sqrt(256): quad returns 2.8e-17, 40-digit mpmath gives 2.2557e-25
         with pytest.raises(ArithmeticError, match="error estimate"):
             quartic_gauss_direct(16.0, 1.0, 0.025, 0.3 / 256)
 
@@ -117,7 +117,8 @@ class TestQuarticGaussSaddle:
 
 class TestKSeries:
     def test_matches_quadrature(self):
-        for n, mu in [(0, 1.0), (1, 1.0), (2, 4.0), (3, 0.3)]:
+        # at mu = 1e-12 the peak near lam = 0 is about sqrt(mu) wide
+        for n, mu in [(0, 1.0), (1, 1.0), (2, 4.0), (3, 0.3), (0, 1e-12)]:
             assert k_series(n, mu) == pytest.approx(k_quadrature(n, mu), rel=1e-8)
 
     def test_small_mu_leading_term(self):
@@ -127,9 +128,17 @@ class TestKSeries:
 
     def test_zero_mu(self):
         assert k_series(2, 0.0) == 0.0
+        assert k_quadrature(2, 0.0) == 0.0
+
+    @pytest.mark.parametrize("func", [k_series, k_quadrature])
+    @pytest.mark.parametrize("n,mu,message", [(-1, 1.0, "n must be >= 0"),
+                                              (0, -1.0, "mu must be >= 0")])
+    def test_domain_shared_with_series(self, func, n, mu, message):
+        with pytest.raises(ValueError, match=message):
+            func(n, mu)
 
     def test_quadrature_rejects_value_below_its_error(self):
-        # quad returns 5.6e-25 with abserr 1.1e-24; the series gives 1.31e-25
+        # quad returns 1.3e-25 with abserr 1.8e-25; the series gives 1.31e-25
         with pytest.raises(ArithmeticError, match="error estimate"):
             k_quadrature(8, 1e-6)
 
@@ -219,8 +228,14 @@ class TestPearceyEval:
         assert p_minus == pytest.approx(p_plus.conjugate(), rel=1e-10)
 
     def test_exact_zero_kept(self):
-        # odd k at a = 0: the sine weight vanishes, quad returns 0 with error 0
+        # odd k at a = 0: the sine factor vanishes, quad returns 0 with error 0
         assert pearcey_direct(0.0, 1.0, 1) == 0
+
+    @pytest.mark.parametrize("b", [1e4, 1e8, 1e30, 1e200])
+    def test_narrow_gaussian_limit(self, b):
+        # the envelope is about b^-1/2 wide: the range shrinks with it
+        expect = math.sqrt(math.pi / b) * (1.0 - 3.0 / (4.0 * b * b))
+        assert pearcey_direct(0.0, b, 0).real == pytest.approx(expect, rel=1e-6, abs=0.0)
 
     def test_pure_quartic_value(self):
         assert pearcey_direct(0.0, 0.0, 0).real == pytest.approx(

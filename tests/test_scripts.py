@@ -40,5 +40,16 @@ def test_volume_sweep_n3_has_no_sampler():
     assert [line.split(",")[3:] for line in lines[1:]] == [["nan", "nan"]] * 3
 
 
+def test_volume_sweep_one_point():
+    lines = _run("volume_sweep.py", ["--n", "4", "--points", "1", "--samples", "2000"])
+    assert [line.split(",")[0] for line in lines] == ["x", "0.500000"]
+
+
+def test_partition_checks_single_eigenvalue():
+    # N = 1: the weak-coupling form does not apply and prints nan
+    lines = _run("partition_checks.py", ["--e", "1.0", "--samples", "2000"])
+    assert len(lines) == 6 and all(line.split()[2] == "nan" for line in lines[1:])
+
+
 def test_every_script_has_a_run():
     assert sorted(SCRIPTS) == sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
