@@ -452,25 +452,29 @@ def check_11(cfg: RunConfig) -> list[CheckResult]:
     ok_zf = abs(zf - 14.142) <= 0.001
     coupled = partition.KineticSpectrum(2, (1.0, 1.1), 0.1)
     quad, quad_err = partition.z_quad_n2(coupled)
-    est_m, se_m = partition.z_mc_matrix(coupled, 10**7, seed=cfg.seed)
+    est_m, se_m = partition.z_rqmc_matrix(coupled, seed=cfg.seed)
     sigmas = abs(est_m - quad) / se_m
     ok_m = abs(est_m - quad) / quad <= 0.02 and sigmas <= 4.0
-    est_e, se_e = partition.z_mc_eigen(spec, 2 * 10**6, seed=cfg.seed)
+    est_e, se_e = partition.z_rqmc_eigen(spec, seed=cfg.seed)
     sigmas_e = abs(est_e - zf) / se_e
     ok_e = abs(est_e - zf) / zf <= 0.03 and sigmas_e <= 4.0
     f = partition.hciz_value((0.0, 1.0), (0.0, 1.0), 1.0)
     m, se_h = partition.hciz_haar_mc2((0.0, 1.0), (0.0, 1.0), 1.0, 10**6, seed=cfg.seed)
     sigmas_h = abs(m - f) / se_h
     ok_h = abs(m - f) / f <= 0.01 and sigmas_h <= 4.0
+    lattice = f"{numkit.LATTICE_POINTS} points x {numkit.RQMC_REPLICATES} shifts"
     return [
         CheckResult(11, "free partition function N=3 equals 14.142 +- 0.001",
                     "free-theory closed form", ok_zf, f"z_free = {zf:.4f}"),
-        CheckResult(11, "matrix MC at g=0.1, N=2 within 2% and 4 sigma of 2-D quadrature "
-                    "(1e7 samples)", "Hermitian-matrix MC oracle", ok_m,
-                    f"MC {est_m:.6f} +- {se_m:.6f} (stderr), quadrature {quad:.9f} "
-                    f"(abserr {quad_err:.1e}), {sigmas:.1f} sigma"),
-        CheckResult(11, "eigenvalue-form MC within 3%", "eigenvalue-reduced MC oracle",
-                    ok_e, f"estimate = {est_e:.4f} +- {se_e:.4f}, {sigmas_e:.1f} sigma"),
+        CheckResult(11, "matrix RQMC at g=0.1, N=2 within 2% and 4 sigma of 2-D quadrature",
+                    "Hermitian-matrix MC oracle", ok_m,
+                    f"N={coupled.n}, g={coupled.g}: RQMC {est_m:.9f} +- {se_m:.1e} (stderr, "
+                    f"{lattice}), quadrature {quad:.9f} (abserr {quad_err:.1e}), "
+                    f"{sigmas:.2f} sigma"),
+        CheckResult(11, "eigenvalue-form RQMC at g=0, N=3 within 3% and 4 sigma of z_free",
+                    "eigenvalue-reduced MC oracle", ok_e,
+                    f"N={spec.n}, g={spec.g}: RQMC {est_e:.4f} +- {se_e:.4f} (stderr, "
+                    f"{lattice}), z_free {zf:.4f}, {sigmas_e:.2f} sigma"),
         CheckResult(11, "unitary-integral closed form vs Haar MC within 1% (N=2)",
                     "unitary group integral", ok_h,
                     f"formula {f:.6f}, MC {m:.6f} +- {se_h:.6f}, {sigmas_h:.1f} sigma"),

@@ -3,8 +3,9 @@
 Log-space numbers, the Lambert-W truncation bound, distinct-part
 partition counts and their bound, power sums, the symmetric pole-sum
 functions F and G with the complete homogeneous polynomials that
-criterion 13 checks them against, and the seeded Monte Carlo mean that
-every sampler runs through.
+criterion 13 checks them against, the seeded Monte Carlo mean that every
+sampler runs through, and the randomised quasi-Monte Carlo mean on a
+shifted lattice that criterion 11 runs its partition samplers through.
 """
 
 from __future__ import annotations
@@ -71,6 +72,100 @@ def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)
+
+
+# ---------------------------------------------------------------------------
+# randomised quasi-Monte Carlo on a shifted lattice
+
+#: points of the rank-1 Korobov lattice j (1, a, a^2, ...) / n mod 1
+LATTICE_POINTS = 1 << 14
+#: the generator a for LATTICE_POINTS: of all odd a it minimises the
+#: Korobov-space figure of merit P_2 (even in a, so taken below n/2) with
+#: product weights 0.9^j in LATTICE_MAX_DIM dimensions;
+#: tests/test_lattice.py re-derives it
+KOROBOV_A = 7465
+LATTICE_MAX_DIM = 10
+#: independent random shifts; their spread gives the stderr
+RQMC_REPLICATES = 16
+
+
+class _LatticeColumns:
+    """The generator stand-in rqmc_mean hands to a weight function.
+
+    standard_normal((m, k)) returns the next k columns of one replicate's
+    normals, as rng.standard_normal((m, k)) returns the next m k draws;
+    like those, they are the caller's to overwrite, or are written to out.
+    """
+
+    def __init__(self, normals):
+        self.normals = normals  # (dim, points)
+        self.used = 0
+
+    def standard_normal(self, size, out=None):
+        m, k = size
+        dim, points = self.normals.shape
+        if m != points or self.used + k > dim:
+            raise ValueError(f"asked for {k} more columns of {m} after {self.used} "
+                             f"of the {dim} x {points} lattice normals")
+        self.used += k
+        cols = self.normals[self.used - k : self.used].T
+        if out is None:
+            return cols
+        out[...] = cols
+        return out
+
+
+def _lattice(dim: int) -> np.ndarray:
+    """The points j (1, a, a^2, ...) / n mod 1 of the Korobov lattice, one row per coordinate."""
+    gen = np.array([pow(KOROBOV_A, j, LATTICE_POINTS) for j in range(dim)])
+    return gen[:, None] * np.arange(LATTICE_POINTS) % LATTICE_POINTS / LATTICE_POINTS
+
+
+def _lattice_normals(points: np.ndarray, shift) -> np.ndarray:
+    """Standard normals at the lattice points under this shift, one row per coordinate.
+
+    The tent transform 1 - |2u - 1| folds each shifted coordinate u, and
+    Box-Muller turns coordinates 2i and 2i+1 into rows 2i and 2i+1, so the
+    lattice has an even number of coordinates.  A radial coordinate at
+    exactly 0 is read as 2^-53, the smallest positive value rng.random
+    returns, so every normal is finite (|z| <= 8.6).
+    """
+    u = points + np.asarray(shift)[:, None]
+    u -= np.floor(u)
+    u *= 2.0
+    u -= 1.0
+    np.abs(u, out=u)
+    np.subtract(1.0, u, out=u)
+    radius = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0**-53)))
+    angle = 2.0 * math.pi * u[1::2]
+    u[0::2] = radius * np.cos(angle)
+    u[1::2] = radius * np.sin(angle)
+    return u
+
+
+def rqmc_mean(batch, dim: int, seed: int) -> tuple[float, float]:
+    """Randomised quasi-Monte Carlo mean of per-point weights, as (mean, stderr).
+
+    batch(src, m) is a weight function as mc_mean takes, which draws only
+    standard normals, column block by column block, through
+    src.standard_normal((m, k)), dim of them per point in all.  Here src
+    hands out the normals of the LATTICE_POINTS-point Korobov lattice under
+    each of RQMC_REPLICATES uniform shifts from default_rng(seed), one
+    replicate at a time.  The estimate is the mean of the replicate means
+    and the stderr their standard deviation over sqrt(RQMC_REPLICATES).
+    """
+    if not 1 <= dim <= LATTICE_MAX_DIM:
+        raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {dim}")
+    points = _lattice(dim + dim % 2)  # Box-Muller takes coordinates in pairs
+    rng = np.random.default_rng(seed)
+    shifts = rng.random((RQMC_REPLICATES, len(points)))
+    means = np.empty(RQMC_REPLICATES)
+    for r, shift in enumerate(shifts):
+        src = _LatticeColumns(_lattice_normals(points, shift)[:dim])
+        means[r] = float(batch(src, LATTICE_POINTS).mean())
+        if src.used != dim:
+            raise ValueError(f"the weights used {src.used} of {dim} normals")
+    return float(means.mean()), float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
-from .numkit import LogValue, mc_mean, power_sums
+from .numkit import LogValue, mc_mean, power_sums, rqmc_mean
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -200,13 +200,14 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
     return -0.5 * math.pi * float(fine), 0.5 * math.pi * float(err)
 
 
-def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
-    """Importance-sampled MC of the eigenvalue-reduced partition function.
+def _eigen_sampler(spec: KineticSpectrum):
+    """(weights, scale) of the importance-sampled eigenvalue-reduced integral.
 
     Proposal: independent normals matched to the softest eigenvalue
-    (keeps every determinant term bounded under the weight).  Coincident
-    spectra use the exact Delta^2 reduction instead of the det form;
-    a partly coincident spectrum is rejected by eigen_integrand.
+    (keeps every determinant term bounded under the weight), drawn as one
+    (m, N) block of standard normals.  Coincident spectra use the exact
+    Delta^2 reduction instead of the det form; a partly coincident
+    spectrum is rejected by eigen_integrand.  Z = scale * E[weights].
     """
     n = spec.n
     e = np.asarray(spec.e)
@@ -219,8 +220,10 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
         ln_pref += _sum_lgamma(n - 1)
         sign = (-1.0) ** (n * (n - 1) // 2)
 
-    def weights(rng, m):
-        cols = list(rng.normal(0.0, sigma, (m, n)).T)
+    def weights(src, m):
+        lam = src.standard_normal((m, n))
+        lam *= sigma
+        cols = list(lam.T)
         sq = [c * c for c in cols]
         log_q = (n / 2.0) * math.log(emin / math.pi) - emin * sum(sq)
         if not all_equal:
@@ -229,8 +232,21 @@ def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, f
         ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)
 
+    return weights, sign * math.exp(ln_pref)
+
+
+def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
+    """Importance-sampled MC of the eigenvalue-reduced partition function."""
+    weights, scale = _eigen_sampler(spec)
     mean, se = mc_mean(weights, samples, seed)
-    return sign * math.exp(ln_pref) * mean, abs(math.exp(ln_pref)) * se
+    return scale * mean, abs(scale) * se
+
+
+def z_rqmc_eigen(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
+    """z_mc_eigen's weights on numkit.rqmc_mean's shifted lattice (N <= 10)."""
+    weights, scale = _eigen_sampler(spec)
+    mean, se = rqmc_mean(weights, spec.n, seed)
+    return scale * mean, abs(scale) * se
 
 
 def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -258,36 +274,55 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
     return tr
 
 
-def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
-    """MC over Hermitian matrices with the exact g=0 Gaussian as proposal.
+def _matrix_sampler(spec: KineticSpectrum):
+    """(weights, scale) of the integral over Hermitian matrices.
 
-    The quadratic form is diagonal in the matrix components, so the
-    proposal is exact at g = 0 and the estimator is z_free * mean
-    exp(-g Tr X^4); at g = 0 every weight is 1 and that is z_free exactly,
-    with stderr 0.  Deterministic per seed.
+    The proposal is the exact g=0 Gaussian: the quadratic form is diagonal
+    in the matrix components, so each is a scaled standard normal, drawn
+    in the blocks diag (m, N), re and im (m, N(N-1)/2 each), the order the
+    seeded outputs depend on, and Z = z_free * E[exp(-g Tr X^4)].  At
+    g = 0 every weight is 1.
     """
     n = spec.n
     if n > MATRIX_MC_MAX_N:
         raise ValueError(f"matrix MC limited to n <= {MATRIX_MC_MAX_N} (N^2-dimensional integral)")
-    zf = z_free(spec).value
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))
     sd_diag = 1.0 / np.sqrt(2.0 * e)
     sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])
 
-    def weights(rng, m):
-        # one draw sliced in the order diag, re, im: the same stream as three
-        # normal(0, 1) draws, so every seeded estimate is unchanged
-        z = rng.standard_normal(m * (n + 2 * len(pairs)))
+    def weights(src, m):
+        # one buffer for the three blocks: three separate arrays leave glibc's
+        # mmap threshold lower, and the mc benchmark pass then takes about
+        # 10x the page faults and 10% longer
+        z = np.empty(m * (n + 2 * len(pairs)))
         diag = z[: m * n].reshape(m, n)
         re, im = z[m * n :].reshape(2, m, len(pairs))
+        for block in (diag, re, im):
+            src.standard_normal(block.shape, out=block)
         diag *= sd_diag
         re *= sd_off
         im *= sd_off
         return np.exp(-spec.g * _trace_x4(n, diag, re, im))
 
+    return weights, z_free(spec).value
+
+
+def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
+    """MC over Hermitian matrices with the exact g=0 Gaussian as proposal.
+
+    At g = 0 this is z_free exactly, with stderr 0.  Deterministic per seed.
+    """
+    weights, scale = _matrix_sampler(spec)
     mean, se = mc_mean(weights, samples, seed)
-    return zf * mean, zf * se
+    return scale * mean, scale * se
+
+
+def z_rqmc_matrix(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
+    """z_mc_matrix's weights on numkit.rqmc_mean's shifted lattice (N <= 3)."""
+    weights, scale = _matrix_sampler(spec)
+    mean, se = rqmc_mean(weights, spec.n * spec.n, seed)
+    return scale * mean, scale * se
 
 
 # ---------------------------------------------------------------------------

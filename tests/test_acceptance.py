@@ -6,9 +6,13 @@ saddle-derivative ratio column for k >= 1) are strict xfails with the
 analysis in their reports; everything else must pass.
 """
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
-from qmm.acceptance import run_acceptance
+from qmm import partition
+from qmm.acceptance import check_11, run_acceptance
 from qmm.config import RunConfig
 
 
@@ -64,3 +68,25 @@ def test_pearcey_ratio_clause_as_stated(results):
         r for r in results if r.criterion == 10 and "ratios" in r.clause
     )
     assert clause.passed
+
+
+def _trace_x4_without_q(n, diag, re, im):
+    # Tr(P^2) alone, from dense complex matrices: X^2 = P + iQ, P = Re X^2
+    x = np.zeros((diag.shape[0], n, n), dtype=complex)
+    x[:, range(n), range(n)] = diag
+    for idx, (k, l) in enumerate(combinations(range(n), 2)):
+        x[:, k, l] = re[:, idx] + 1j * im[:, idx]
+        x[:, l, k] = re[:, idx] - 1j * im[:, idx]
+    p = (x @ x).real
+    return (p * p).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda orig: lambda *a: 1.05 * orig(*a), lambda orig: _trace_x4_without_q],
+    ids=["weight exp(-1.05 g Tr X^4)", "Q = AB + BA dropped"],
+)
+def test_matrix_clause_fails_on_a_wrong_weight(monkeypatch, mutant):
+    monkeypatch.setattr(partition, "_trace_x4", mutant(partition._trace_x4))
+    clause = next(r for r in check_11(RunConfig()) if "matrix" in r.clause)
+    assert not clause.passed and not clause.known_issue, clause.detail

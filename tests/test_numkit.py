@@ -2,6 +2,7 @@ import gc
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,3 +157,48 @@ class TestPoleSumsComplex:
         x = (0.4 + 0.1j, 1.5, -1.0 - 0.7j, 2.2j)
         got = numkit.symmetric_pole_sum("G", 0, x, z=0.7 - 0.2j)
         assert got == pytest.approx(1.0, abs=1e-10)
+
+
+def _gauss_weights(a, d):
+    # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2)
+    def batch(src, m):
+        z = src.standard_normal((m, d))
+        return np.exp(-a * (z * z).sum(axis=1))
+
+    return batch
+
+
+class TestRqmcMean:
+    def test_gaussian_integral(self):
+        d, a = 4, 0.3
+        mean, se = numkit.rqmc_mean(_gauss_weights(a, d), d, seed=3)
+        assert 0.0 < se
+        assert abs(mean - (1.0 + 2.0 * a) ** (-d / 2)) <= 4.0 * se
+
+    def test_stderr_far_below_plain_mc(self):
+        d, a = 4, 0.3
+        evaluations = numkit.LATTICE_POINTS * numkit.RQMC_REPLICATES
+        _, se_qmc = numkit.rqmc_mean(_gauss_weights(a, d), d, seed=4)
+        _, se_mc = numkit.mc_mean(_gauss_weights(a, d), evaluations, seed=4)
+        assert se_qmc * 50.0 <= se_mc
+
+    def test_same_seed_same_output(self):
+        batch = _gauss_weights(0.7, 3)
+        assert numkit.rqmc_mean(batch, 3, seed=9) == numkit.rqmc_mean(batch, 3, seed=9)
+
+    @pytest.mark.parametrize("dim", [0, -1, numkit.LATTICE_MAX_DIM + 1])
+    def test_dimension_out_of_range(self, dim):
+        with pytest.raises(ValueError, match="lattice serves"):
+            numkit.rqmc_mean(_gauss_weights(0.3, 1), dim, seed=0)
+
+    @pytest.mark.parametrize("used", [3, 5])
+    def test_weights_must_use_exactly_dim_normals(self, used):
+        with pytest.raises(ValueError):
+            numkit.rqmc_mean(_gauss_weights(0.3, used), 4, seed=0)
+
+    def test_point_at_zero_gives_finite_normals(self):
+        # the unshifted lattice holds the origin, where Box-Muller takes log 0
+        z = numkit._lattice_normals(numkit._lattice(4), np.zeros(4))
+        assert z.shape == (4, numkit.LATTICE_POINTS)
+        assert np.isfinite(z).all()
+        assert np.abs(z).max() <= 8.6

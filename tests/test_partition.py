@@ -16,6 +16,7 @@ from qmm.partition import (
     z_mc_eigen,
     z_mc_matrix,
     z_quad_n2,
+    z_rqmc_matrix,
     z_weak,
     z_weak_expanded,
     z_zero_kinetic,
@@ -169,6 +170,8 @@ class TestMonteCarlo:
         for n in range(1, 5):
             spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], 0.0)
             assert z_mc_matrix(spec, 10_000, seed=1) == (z_free(spec).value, 0.0)
+            if n == 3:  # the largest N the lattice serves
+                assert z_rqmc_matrix(spec, seed=1) == (z_free(spec).value, 0.0)
 
     def test_matrix_mc_n1(self):
         est, se = z_mc_matrix(KineticSpectrum(1, (1.0,), 0.0), 10_000, seed=2)
@@ -184,6 +187,9 @@ class TestMonteCarlo:
         # at g = 0, so the guard must come before the exact free return
         with pytest.raises(ValueError):
             z_mc_matrix(KineticSpectrum(5, (1.0,) * 5, 0.0), 10_000, seed=0)
+        # 16 normals: more than the lattice serves
+        with pytest.raises(ValueError, match="lattice serves"):
+            z_rqmc_matrix(KineticSpectrum(4, (1.0, 1.1, 1.2, 1.3), 0.1), seed=0)
 
     @pytest.mark.parametrize("g", [0.0, 0.1])
     @pytest.mark.parametrize("samples", [0, -1])
