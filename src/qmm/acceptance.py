@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -200,18 +199,13 @@ def check_5(cfg: RunConfig) -> list[CheckResult]:
         ok_all &= dev <= 3.0
         details.append(f"{dev:.2f}")
         checked += 1
-    grid = [(i + 0.5) / 20.0 for i in range(20)]
-    ok_grid = True
-    for h1, h2, h3 in product(grid, repeat=3):
-        spec = polytope.DiagonalSpec(3, (h1, h2, h3))
-        u = spec.u
-        b12 = (u[0] + u[1] - u[2]) / 2.0
-        b13 = (u[0] - u[1] + u[2]) / 2.0
-        b23 = (-u[0] + u[1] + u[2]) / 2.0
-        feasible = 1.0 if min(b12, b13, b23) >= 0.0 else 0.0
-        if polytope.exact_volume_n3(spec) != feasible:
-            ok_grid = False
-            break
+    grid = (np.arange(20) + 0.5) / 20.0
+    u = 1.0 - np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    b12 = (u[:, 0] + u[:, 1] - u[:, 2]) / 2.0
+    b13 = (u[:, 0] - u[:, 1] + u[:, 2]) / 2.0
+    b23 = (-u[:, 0] + u[:, 1] + u[:, 2]) / 2.0
+    feasible = np.where(np.minimum(np.minimum(b12, b13), b23) >= 0.0, 1.0, 0.0)
+    ok_grid = np.array_equal(polytope._exact_volume_n3_rowsum(u), feasible)
     return [
         CheckResult(5, "N=4 exact volume vs hit-and-miss MC (5 diagonals, 3 sigma)",
                     "exact N=4 subpolytope volume formula", ok_all,

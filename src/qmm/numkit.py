@@ -53,25 +53,32 @@ MC_BATCH = 1 << 16
 def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
     """Seeded Monte Carlo mean of per-sample weights, as (mean, stderr).
 
-    batch(rng, m) returns the m weights of the next batch, drawn from the
-    one generator default_rng(seed); batches hold MC_BATCH samples except
-    the last.  stderr is sqrt((E[w^2] - E[w]^2) / samples).
+    batch(rng, m) returns the m weights of the next batch (float or bool),
+    drawn from the one generator default_rng(seed); batches hold MC_BATCH
+    samples except the last.  stderr is sqrt(var / samples) with the
+    population variance var of all the weights, from each batch's squared
+    deviations about its own mean, combined by Chan et al.'s parallel
+    update, so near-constant weights keep their digits.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     total = 0.0
-    total_sq = 0.0
+    sq_dev = 0.0  # sum of squared deviations from the mean of the batches so far
     done = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        done += m
         w = batch(rng, m)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
+        part = float(w.sum())
+        d = w - part / m
+        d *= d
+        sq_dev += float(d.sum())
+        if done:
+            sq_dev += (part / m - total / done) ** 2 * done * m / (done + m)
+        total += part
+        done += m
     mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+    return mean, math.sqrt(sq_dev / samples / samples)
 
 
 # ---------------------------------------------------------------------------

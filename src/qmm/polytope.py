@@ -47,16 +47,18 @@ class DiagonalSpec:
         return tuple(1.0 - hj for hj in self.h)
 
 
-def _s_single(u) -> list[float]:
-    half = sum(u) / 2.0
-    return [half - uj for uj in u]
-
-
 def exact_volume_n3(spec: DiagonalSpec) -> float:
     """Indicator of the point polytope at N=3: 1 iff all s_j >= 0."""
     if spec.n != 3:
         raise ValueError("exact_volume_n3 requires n = 3")
-    return 1.0 if all(s >= 0.0 for s in _s_single(spec.u)) else 0.0
+    return float(_exact_volume_n3_rowsum(spec.u))
+
+
+def _exact_volume_n3_rowsum(u) -> np.ndarray:
+    """N=3 indicator of each row-sum vector along the last axis of u."""
+    u1, u2, u3 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    half = (u1 + u2 + u3) / 2.0
+    return np.where((half - u1 >= 0.0) & (half - u2 >= 0.0) & (half - u3 >= 0.0), 1.0, 0.0)
 
 
 def exact_volume_n4(spec: DiagonalSpec) -> float:
@@ -117,26 +119,32 @@ def mc_volume(
     box = np.array([min(u[k - 1], u[l - 1]) for k, l in pairs])
     box_vol = float(np.prod(box))
 
-    total = sum(u)
-    s12 = total / 2.0 - u[0] - u[1]
-    s13 = total / 2.0 - u[0] - u[2]
-    s1 = total / 2.0 - u[0]
-    idx_k_ge3 = [i for i, (k, l) in enumerate(pairs) if k >= 3]
-    idx_13 = [i for i, (k, l) in enumerate(pairs) if (k == 2 and l >= 4) or k >= 4]
-    cols_1k = {
-        k: [i for i, (a, b) in enumerate(pairs) if a == k or b == k]
-        for k in range(4, n + 1)
-    }
+    # each dependent entry, solved from the row sums, must be >= 0; as
+    # (free columns, bound, test of their sum): u_1k = u_k - (row k's free
+    # entries), u_12 = (entries in rows >= 3) - s_12, u_13 = (entries off
+    # row 3) - s_13 and u_23 = s_1 - (all free entries)
+    half = sum(u) / 2.0
+    tests = [([i for i, pair in enumerate(pairs) if k in pair], u[k - 1], np.less_equal)
+             for k in range(4, n + 1)]
+    tests.append(([i for i, (k, l) in enumerate(pairs) if k >= 3], half - u[0] - u[1],
+                  np.greater_equal))
+    tests.append(([i for i, pair in enumerate(pairs) if 3 not in pair], half - u[0] - u[2],
+                  np.greater_equal))
+    tests.append((range(len(pairs)), half - u[0], np.less_equal))
 
     def weights(rng, m):
-        x = rng.random((m, len(pairs))) * box
+        x = rng.random((m, len(pairs)))
+        x *= box
         ok = np.ones(m, dtype=bool)
-        for k in range(4, n + 1):
-            ok &= u[k - 1] - x[:, cols_1k[k]].sum(axis=1) >= 0.0
-        ok &= x[:, idx_k_ge3].sum(axis=1) - s12 >= 0.0
-        ok &= x[:, idx_13].sum(axis=1) - s13 >= 0.0
-        ok &= s1 - x.sum(axis=1) >= 0.0
-        return ok.astype(float)
+        acc = np.empty(m)
+        hit = np.empty(m, dtype=bool)
+        for cols, bound, test in tests:
+            # the sum, left to right over strided column views
+            total = x[:, cols[0]]
+            for j in cols[1:]:
+                total = np.add(total, x[:, j], out=acc)
+            ok &= test(total, bound, out=hit)
+        return ok
 
     p, se = mc_mean(weights, samples, seed)
     return box_vol * p, box_vol * se
@@ -161,21 +169,24 @@ def mc_volume_peel(
     u0 = np.asarray(spec.u)
 
     def weights(rng, batch):
-        u = np.tile(u0, (batch, 1))
+        res = np.empty((n, batch))  # residual row sums, one row per matrix row
+        res[:] = u0[:, None]
         w = np.ones(batch)
+        gj = np.empty(batch)
         for k in range(n, 4, -1):
             m = k - 1
-            s = u[:, k - 1]
-            # uniform point of the simplex {g >= 0, sum g = s}
+            s = res[k - 1]
+            # uniform point of the simplex {g >= 0, sum g = s}, column by column
             g = rng.gamma(1.0, 1.0, (batch, m))
-            g *= (s / g.sum(axis=1))[:, None]
-            w *= np.where(
-                (g <= u[:, :m]).all(axis=1),
-                s ** (m - 1) / math.factorial(m - 1),
-                0.0,
-            )
-            u[:, :m] -= g
-        return w * _exact_volume_n4_rowsum(u[:, :4])
+            scale = g[:, 0] + g[:, 1]
+            for j in range(2, m):
+                scale += g[:, j]
+            np.divide(s, scale, out=scale)
+            for j in range(m):
+                res[j] -= np.multiply(g[:, j], scale, out=gj)
+            # g_j <= residual_j before the subtraction iff >= 0 after it
+            w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
+        return w * _exact_volume_n4_rowsum(res[:4].T)
 
     return mc_mean(weights, samples, seed)
 

@@ -11,8 +11,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qmm import partition
-from qmm.acceptance import check_11, run_acceptance
+from qmm import partition, polytope
+from qmm.acceptance import check_5, check_11, run_acceptance
 from qmm.config import RunConfig
 
 
@@ -89,4 +89,28 @@ def _trace_x4_without_q(n, diag, re, im):
 def test_matrix_clause_fails_on_a_wrong_weight(monkeypatch, mutant):
     monkeypatch.setattr(partition, "_trace_x4", mutant(partition._trace_x4))
     clause = next(r for r in check_11(RunConfig()) if "matrix" in r.clause)
+    assert not clause.passed and not clause.known_issue, clause.detail
+
+
+def _n3_indicator_without(j):
+    # the N=3 row-sum form with its s_j >= 0 test dropped
+    def mutant(u):
+        u = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        s = u.sum(axis=0) / 2.0 - u
+        return np.where(np.delete(s, j, axis=0).min(axis=0) >= 0.0, 1.0, 0.0)
+
+    return mutant
+
+
+@pytest.mark.parametrize("j", [0, 1, 2], ids=["s_1", "s_2", "s_3"])
+def test_grid_clause_fails_without_one_feasibility_test(monkeypatch, j):
+    monkeypatch.setattr(polytope, "_exact_volume_n3_rowsum", _n3_indicator_without(j))
+    clause = next(r for r in check_5(RunConfig()) if "N=3" in r.clause)
+    assert not clause.passed and not clause.known_issue, clause.detail
+
+
+def test_n4_clause_fails_on_a_scaled_volume(monkeypatch):
+    exact = polytope.exact_volume_n4
+    monkeypatch.setattr(polytope, "exact_volume_n4", lambda spec: 1.05 * exact(spec))
+    clause = next(r for r in check_5(RunConfig()) if "N=4" in r.clause)
     assert not clause.passed and not clause.known_issue, clause.detail

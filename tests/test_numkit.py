@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmm import numkit
+from qmm import numkit, partition
 
 
 class TestLambertTruncation:
@@ -202,3 +202,39 @@ class TestRqmcMean:
         assert z.shape == (4, numkit.LATTICE_POINTS)
         assert np.isfinite(z).all()
         assert np.abs(z).max() <= 8.6
+
+
+def _batch_weights(weights, samples, seed):
+    # the weights mc_mean sees, batch by batch from the one generator
+    rng = np.random.default_rng(seed)
+    sizes = [min(numkit.MC_BATCH, samples - done) for done in range(0, samples, numkit.MC_BATCH)]
+    return np.concatenate([weights(rng, m) for m in sizes])
+
+
+class TestMcMean:
+    def test_stderr_keeps_digits_on_near_constant_weights(self):
+        # at g = 1e-10 the weights agree to about 11 digits; E[w^2] - E[w]^2
+        # cancelled to a stderr 16x too large
+        weights, scale = partition._matrix_sampler(partition.KineticSpectrum(2, (1.0, 1.1), 1e-10))
+        _, se = partition.z_mc_matrix(partition.KineticSpectrum(2, (1.0, 1.1), 1e-10), 200_000, 3)
+        w = _batch_weights(weights, 200_000, 3)
+        assert se == pytest.approx(scale * w.std() / math.sqrt(w.size), rel=0.01)
+
+    def test_batches_with_different_means(self):
+        # each batch shifted by its own offset: the between-batch term counts
+        def weights(rng, m):
+            return rng.random(m) + 10.0 * rng.integers(0, 3)
+
+        mean, se = numkit.mc_mean(weights, 200_000, 5)
+        w = _batch_weights(weights, 200_000, 5)
+        assert mean == pytest.approx(w.mean(), rel=1e-14)
+        assert se == pytest.approx(w.std() / math.sqrt(w.size), rel=1e-12)
+
+    def test_bool_weights_count_exactly(self):
+        def weights(rng, m):
+            return rng.random(m) < 0.3
+
+        mean, se = numkit.mc_mean(weights, 100_000, 2)
+        hits = int(_batch_weights(weights, 100_000, 2).sum())
+        assert mean == hits / 100_000
+        assert se == pytest.approx(math.sqrt(mean * (1.0 - mean) / 100_000), rel=1e-12)

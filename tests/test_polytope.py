@@ -108,6 +108,42 @@ class TestMonteCarlo:
             mc_volume(DiagonalSpec(4, (0.5,) * 4), 10, seed=0)
 
 
+def _reference_hits(h, samples, seed):
+    """Hit count of mc_volume's draws, the dependent entries solved per sample.
+
+    Free entries u_kl (2 <= k < l, l != 3) as mc_volume draws them; each u_1k
+    (k >= 4) from row k, then u_12, u_13 and u_23 from rows 1, 2 and 3.
+    """
+    n = len(h)
+    u = [1.0 - x for x in h]
+    free = [(k, l) for k in range(2, n + 1) for l in range(k + 1, n + 1) if l != 3]
+    box = np.array([min(u[k - 1], u[l - 1]) for k, l in free])
+    hits = 0
+    for row in (np.random.default_rng(seed).random((samples, len(free))) * box).tolist():
+        e = dict(zip(free, row))
+        e.update({(l, k): x for (k, l), x in zip(free, row)})
+        u1 = [u[k - 1] - sum(e[k, l] for l in range(2, n + 1) if l != k) for k in range(4, n + 1)]
+        r1 = u[0] - sum(u1)  # u_12 + u_13
+        r2 = u[1] - sum(e[2, l] for l in range(4, n + 1))  # u_12 + u_23
+        r3 = u[2] - sum(e[3, l] for l in range(4, n + 1))  # u_13 + u_23
+        dependent = u1 + [(r1 + r2 - r3) / 2.0, (r1 - r2 + r3) / 2.0, (r2 + r3 - r1) / 2.0]
+        hits += min(dependent) >= 0.0
+    return hits, float(np.prod(box))
+
+
+@pytest.mark.parametrize("h", [(0.6, 0.5, 0.55, 0.45), (0.3, 0.5, 0.5, 0.6, 0.7),
+                               (0.09, 0.0, 0.29, 0.89, 0.24, 0.75)],
+                         ids=["n4", "n5", "n6"])
+def test_hit_and_miss_counts_the_solved_entries(h):
+    # one batch of draws; at N=6 the 9 free columns pass numpy's 8-wide
+    # pairwise summation threshold
+    samples, seed = 20_000, 12
+    hits, box_vol = _reference_hits(h, samples, seed)
+    est, _ = mc_volume(DiagonalSpec(len(h), h), samples, seed)
+    assert hits > 10
+    assert round(est / box_vol * samples) == hits
+
+
 class TestPeelOracle:
     def test_agrees_with_hit_and_miss_n5(self):
         spec = DiagonalSpec(5, (0.55, 0.5, 0.5, 0.45, 0.5))
