@@ -114,7 +114,7 @@ def check_1(cfg: RunConfig) -> list[CheckResult]:
     for t, expect in N5_SUM32:
         got = counting.count_row_sums(counting.RowSumSpec(5, t))
         rows_ok.append(got == expect)
-    elapsed = time.perf_counter() - t0
+    fast = time.perf_counter() - t0 < 10.0
     out = [
         CheckResult(
             1, "exact counts, N=5 entry-sum 32", "N=5 row-sum count table (sum 32)",
@@ -122,7 +122,8 @@ def check_1(cfg: RunConfig) -> list[CheckResult]:
         ),
         CheckResult(
             1, "runtime of the six counts", "N=5 row-sum count table (sum 32)",
-            elapsed < 10.0, f"{elapsed:.2f} s",
+            # the bound, not the reading, so that a seed always prints the same text
+            fast, "under 10 s" if fast else "10 s or more",
         ),
     ]
     return out

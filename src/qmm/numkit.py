@@ -48,27 +48,62 @@ class LogValue:
 
 #: samples drawn per batch; the seeded outputs depend on it
 MC_BATCH = 1 << 16
+#: samples per draw into _GeneratorRows.rows' scratch block before it is transposed
+_ROW_CHUNK = 1 << 12
+
+
+class _GeneratorRows:
+    """The generator mc_mean hands to a weight function.
+
+    default_rng(seed), whose methods and attributes it passes through,
+    that also serves its draws component-major: rows(method, k, m)
+    returns what rng.<method>((m, k)).T holds, as k C-contiguous rows of
+    length m, and leaves the generator in the same state.  The (m, k)
+    draw is made _ROW_CHUNK samples at a time into a small scratch block,
+    then transposed into the rows, so no full sample-major block is ever
+    alive.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def rows(self, method, k, m, out=None):
+        """k rows of m draws of rng.<method>, written to out if given."""
+        if out is None:
+            out = np.empty((k, m))
+        scratch = np.empty((min(_ROW_CHUNK, m), k))
+        draw = getattr(self._rng, method)
+        for start in range(0, m, _ROW_CHUNK):
+            block = scratch[: m - start]
+            draw(out=block)
+            out[:, start : start + len(block)] = block.T
+        return out
 
 
 def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
     """Seeded Monte Carlo mean of per-sample weights, as (mean, stderr).
 
-    batch(rng, m) returns the m weights of the next batch (float or bool),
-    drawn from the one generator default_rng(seed); batches hold MC_BATCH
-    samples except the last.  stderr is sqrt(var / samples) with the
-    population variance var of all the weights, from each batch's squared
-    deviations about its own mean, combined by Chan et al.'s parallel
-    update, so near-constant weights keep their digits.
+    batch(src, m) returns the m weights of the next batch (float or bool).
+    src is the one generator default_rng(seed), as a _GeneratorRows: the
+    weight function takes its draws as component rows,
+    src.rows(method, k, m), or calls the generator's own methods.  Batches
+    hold MC_BATCH samples except the last.  stderr is sqrt(var / samples)
+    with the population variance var of all the weights, from each batch's
+    squared deviations about its own mean, combined by Chan et al.'s
+    parallel update, so near-constant weights keep their digits.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    src = _GeneratorRows(seed)
     total = 0.0
     sq_dev = 0.0  # sum of squared deviations from the mean of the batches so far
     done = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        w = batch(rng, m)
+        w = batch(src, m)
         part = float(w.sum())
         d = w - part / m
         d *= d
@@ -97,28 +132,31 @@ RQMC_REPLICATES = 16
 
 
 class _LatticeColumns:
-    """The generator stand-in rqmc_mean hands to a weight function.
+    """The sample source rqmc_mean hands to a weight function.
 
-    standard_normal((m, k)) returns the next k columns of one replicate's
-    normals, as rng.standard_normal((m, k)) returns the next m k draws;
-    like those, they are the caller's to overwrite, or are written to out.
+    It serves one replicate's normals, one lattice coordinate (a column
+    of the points) per row, through the row protocol of _GeneratorRows:
+    rows("standard_normal", k, m) returns the next k rows of normals
+    themselves, without a copy, as the caller's to overwrite, or writes
+    them to out.  It serves no other distribution.
     """
 
     def __init__(self, normals):
         self.normals = normals  # (dim, points)
         self.used = 0
 
-    def standard_normal(self, size, out=None):
-        m, k = size
+    def rows(self, method, k, m, out=None):
         dim, points = self.normals.shape
+        if method != "standard_normal":
+            raise ValueError(f"the lattice serves standard normals, not {method}")
         if m != points or self.used + k > dim:
-            raise ValueError(f"asked for {k} more columns of {m} after {self.used} "
+            raise ValueError(f"asked for {k} more rows of {m} after {self.used} "
                              f"of the {dim} x {points} lattice normals")
         self.used += k
-        cols = self.normals[self.used - k : self.used].T
+        rows = self.normals[self.used - k : self.used]
         if out is None:
-            return cols
-        out[...] = cols
+            return rows
+        out[...] = rows
         return out
 
 
@@ -154,12 +192,12 @@ def rqmc_mean(batch, dim: int, seed: int) -> tuple[float, float]:
     """Randomised quasi-Monte Carlo mean of per-point weights, as (mean, stderr).
 
     batch(src, m) is a weight function as mc_mean takes, which draws only
-    standard normals, column block by column block, through
-    src.standard_normal((m, k)), dim of them per point in all.  Here src
-    hands out the normals of the LATTICE_POINTS-point Korobov lattice under
-    each of RQMC_REPLICATES uniform shifts from default_rng(seed), one
-    replicate at a time.  The estimate is the mean of the replicate means
-    and the stderr their standard deviation over sqrt(RQMC_REPLICATES).
+    standard normals, through src.rows("standard_normal", k, m), dim rows
+    in all.  Here src is a _LatticeColumns: it hands out the normals of
+    the LATTICE_POINTS-point Korobov lattice under each of RQMC_REPLICATES
+    uniform shifts from default_rng(seed), one replicate at a time.  The
+    estimate is the mean of the replicate means and the stderr their
+    standard deviation over sqrt(RQMC_REPLICATES).
     """
     if not 1 <= dim <= LATTICE_MAX_DIM:
         raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {dim}")

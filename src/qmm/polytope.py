@@ -132,17 +132,17 @@ def mc_volume(
                   np.greater_equal))
     tests.append((range(len(pairs)), half - u[0], np.less_equal))
 
-    def weights(rng, m):
-        x = rng.random((m, len(pairs)))
-        x *= box
+    def weights(src, m):
+        x = src.rows("random", len(pairs), m)  # one row per free entry
+        x *= box[:, None]
         ok = np.ones(m, dtype=bool)
         acc = np.empty(m)
         hit = np.empty(m, dtype=bool)
         for cols, bound, test in tests:
-            # the sum, left to right over strided column views
-            total = x[:, cols[0]]
+            # the sum of the entries' rows, left to right
+            total = x[cols[0]]
             for j in cols[1:]:
-                total = np.add(total, x[:, j], out=acc)
+                total = np.add(total, x[j], out=acc)
             ok &= test(total, bound, out=hit)
         return ok
 
@@ -168,22 +168,21 @@ def mc_volume_peel(
     n = spec.n
     u0 = np.asarray(spec.u)
 
-    def weights(rng, batch):
+    def weights(src, batch):
         res = np.empty((n, batch))  # residual row sums, one row per matrix row
         res[:] = u0[:, None]
         w = np.ones(batch)
-        gj = np.empty(batch)
         for k in range(n, 4, -1):
             m = k - 1
             s = res[k - 1]
-            # uniform point of the simplex {g >= 0, sum g = s}, column by column
-            g = rng.gamma(1.0, 1.0, (batch, m))
-            scale = g[:, 0] + g[:, 1]
+            # uniform point of the simplex {g >= 0, sum g = s}, one row per entry
+            g = src.rows("standard_exponential", m, batch)
+            scale = g[0] + g[1]
             for j in range(2, m):
-                scale += g[:, j]
+                scale += g[j]
             np.divide(s, scale, out=scale)
-            for j in range(m):
-                res[j] -= np.multiply(g[:, j], scale, out=gj)
+            g *= scale
+            res[:m] -= g
             # g_j <= residual_j before the subtraction iff >= 0 after it
             w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
         return w * _exact_volume_n4_rowsum(res[:4].T)

@@ -72,11 +72,12 @@ def test_pearcey_ratio_clause_as_stated(results):
 
 def _trace_x4_without_q(n, diag, re, im):
     # Tr(P^2) alone, from dense complex matrices: X^2 = P + iQ, P = Re X^2
-    x = np.zeros((diag.shape[0], n, n), dtype=complex)
-    x[:, range(n), range(n)] = diag
+    # diag, re and im hold one row per component
+    x = np.zeros((diag.shape[1], n, n), dtype=complex)
+    x[:, range(n), range(n)] = diag.T
     for idx, (k, l) in enumerate(combinations(range(n), 2)):
-        x[:, k, l] = re[:, idx] + 1j * im[:, idx]
-        x[:, l, k] = re[:, idx] - 1j * im[:, idx]
+        x[:, k, l] = re[idx] + 1j * im[idx]
+        x[:, l, k] = re[idx] - 1j * im[idx]
     p = (x @ x).real
     return (p * p).sum(axis=(1, 2))
 

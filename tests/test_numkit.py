@@ -162,8 +162,8 @@ class TestPoleSumsComplex:
 def _gauss_weights(a, d):
     # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2)
     def batch(src, m):
-        z = src.standard_normal((m, d))
-        return np.exp(-a * (z * z).sum(axis=1))
+        z = src.rows("standard_normal", d, m)
+        return np.exp(-a * (z * z).sum(axis=0))
 
     return batch
 
@@ -204,11 +204,53 @@ class TestRqmcMean:
         assert np.abs(z).max() <= 8.6
 
 
+class TestRows:
+    # mc_mean's last batch at 70,000 samples, not a whole number of chunks
+    TAIL = 70_000 - numkit.MC_BATCH
+
+    @pytest.mark.parametrize("method", ["standard_normal", "random", "standard_exponential"])
+    @pytest.mark.parametrize("k, m", [(3, numkit.MC_BATCH), (8, TAIL), (1, 5)])
+    def test_generator_rows_are_the_transposed_draw(self, method, k, m):
+        assert self.TAIL % numkit._ROW_CHUNK
+        src = numkit._GeneratorRows(11)
+        ref = np.random.default_rng(11)
+        got = src.rows(method, k, m)
+        assert got.shape == (k, m) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, getattr(ref, method)((m, k)).T)
+        assert src.bit_generator.state == ref.bit_generator.state
+
+    def test_generator_rows_continue_the_stream_into_out(self):
+        src = numkit._GeneratorRows(12)
+        ref = np.random.default_rng(12)
+        first = src.rows("standard_normal", 5, self.TAIL)
+        out = np.empty((2, 3, self.TAIL))[1]  # a block of a larger buffer, as z_mc_matrix's
+        assert src.rows("standard_normal", 3, self.TAIL, out=out) is out
+        np.testing.assert_array_equal(first, ref.standard_normal((self.TAIL, 5)).T)
+        np.testing.assert_array_equal(out, ref.standard_normal((self.TAIL, 3)).T)
+        assert src.bit_generator.state == ref.bit_generator.state
+
+    def test_lattice_serves_its_normals_rows_unchanged(self):
+        points = numkit.LATTICE_POINTS
+        normals = numkit._lattice_normals(numkit._lattice(4), np.full(4, 0.3))
+        want = normals.copy()
+        src = numkit._LatticeColumns(normals)
+        first = src.rows("standard_normal", 3, points)
+        assert np.shares_memory(first, normals)
+        np.testing.assert_array_equal(first, want[:3])
+        out = np.empty((1, points))
+        src.rows("standard_normal", 1, points, out=out)
+        np.testing.assert_array_equal(out, want[3:])
+        with pytest.raises(ValueError, match="more rows"):
+            src.rows("standard_normal", 1, points)
+        with pytest.raises(ValueError, match="standard normals"):
+            numkit._LatticeColumns(normals).rows("random", 1, points)
+
+
 def _batch_weights(weights, samples, seed):
     # the weights mc_mean sees, batch by batch from the one generator
-    rng = np.random.default_rng(seed)
+    src = numkit._GeneratorRows(seed)
     sizes = [min(numkit.MC_BATCH, samples - done) for done in range(0, samples, numkit.MC_BATCH)]
-    return np.concatenate([weights(rng, m) for m in sizes])
+    return np.concatenate([weights(src, m) for m in sizes])
 
 
 class TestMcMean:

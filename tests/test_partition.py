@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qmm import partition
 from qmm.detkit import exp_det_factorization, vandermonde_det
 from qmm.partition import (
     KineticSpectrum,
@@ -236,6 +238,24 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     want_mean, want_se = MATRIX_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert se == pytest.approx(want_se, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_x4_is_the_squared_frobenius_norm_of_x_squared(n):
+    # oracle: ||X^2||_F^2 = Tr X^4 from the dense complex Hermitian X
+    pairs = list(combinations(range(n), 2))
+    rng = np.random.default_rng(50 + n)
+    diag = rng.standard_normal((n, 300))
+    re, im = rng.standard_normal((2, len(pairs), 300))
+    x = np.zeros((300, n, n), dtype=complex)
+    x[:, range(n), range(n)] = diag.T
+    for idx, (k, l) in enumerate(pairs):
+        x[:, k, l] = re[idx] + 1j * im[idx]
+        x[:, l, k] = re[idx] - 1j * im[idx]
+    x2 = x @ x
+    want = (np.abs(x2) ** 2).sum(axis=(1, 2))
+    got = partition._trace_x4(n, diag, re, im)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # spectrum, samples, seed -> (mean, stderr) of z_mc_eigen at g = 0.1, N the
