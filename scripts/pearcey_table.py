@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the quartic-phase integral table at (a, b) = (-24, 14):
-direct adaptive quadrature vs the middle-saddle approximation extended by
+direct trapezoid quadrature vs the middle-saddle approximation extended by
 (i d/da)^k, for k = 0..8.
 
 Usage: python scripts/pearcey_table.py [--a -24] [--b 14]

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
-from .numkit import LogValue, mc_mean, power_sums, rqmc_mean
+from .numkit import LogValue, mc_mean, power_sums, rqmc_mean, trapezoid
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -175,29 +175,26 @@ def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
 
 
 def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
-    """N = 2 partition function by a tensor Gauss-Hermite rule, as (value, abserr).
+    """N = 2 partition function by the trapezoid rule, as (value, abserr).
 
     A deterministic oracle for the samplers: Z = -(pi/2) times the integral
     of eigen_integrand over R^2, the eigenvalue-reduction prefactor and
-    sign at N = 2.  The rule is for the weight exp(-c |lam|^2) with
+    sign at N = 2.  The integrand is even under lam -> -lam, so
+    numkit.trapezoid sums 2 (f(s, t) + f(s, -t)) over the quarter plane
+    s, t >= 0, halving the step from 0.4, out to sqrt(37 / c) per axis with
     c = min(e) + sqrt(g), which tracks the integrand's decay from weak to
-    strong coupling.  The value is the 100-node rule per axis; abserr is
-    its gap to the 60-node rule, floored at the sum's rounding level and
-    scaled alike.
+    strong coupling; abserr is the rule's step-halving estimate.
     """
     if spec.n != 2:
         raise ValueError("quadrature oracle implemented for N = 2")
     c = min(spec.e) + math.sqrt(spec.g)
-    sums = []
-    for k in (60, 100):
-        x, w = np.polynomial.hermite.hermgauss(k)
-        w = w * np.exp(x * x) / math.sqrt(c)  # the weight moved into the integrand
-        lam = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1) / math.sqrt(c)
-        terms = np.outer(w, w) * eigen_integrand(spec, lam)
-        sums.append((terms.sum(), np.abs(terms).sum()))
-    (coarse, _), (fine, size) = sums
-    err = max(abs(fine - coarse), np.finfo(float).eps * size)
-    return -0.5 * math.pi * float(fine), 0.5 * math.pi * float(err)
+
+    def folded(s, t):
+        return 2.0 * (eigen_integrand(spec, np.stack([s, t], axis=-1))
+                      + eigen_integrand(spec, np.stack([s, -t], axis=-1)))
+
+    value, err = trapezoid(folded, 0.4, math.sqrt(37.0 / c), dim=2)
+    return -0.5 * math.pi * float(value), 0.5 * math.pi * float(err)
 
 
 def _eigen_sampler(spec: KineticSpectrum):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+
+from . import numkit
 
 BOUNDARY_TOL = 1e-9
 K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of the sum
@@ -24,14 +25,19 @@ ENVELOPE_EXPONENT = 700.0  # e^-700 < 1e-304: the envelope's tail past L is belo
 def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
     """I_k = int x^k exp(i a x - b x^2 + i c x^3 - d x^4) dx over the real line.
 
-    The envelope x^k e^(-b x^2 - d x^4) has the parity of k and the phase
-    a x + c x^3 is odd, so I_k is 2 (2i for odd k) times the cos (sin)
-    integral over [0, L], b L^2 + d L^4 = 700.  ArithmeticError when the
-    phase is not finite at L, or quad's value is not finite, its nonzero
-    error estimate reaches |value|, or quad warned (in that order).
+    The integrand g is entire, so the line may move to Im x = y: y is 0 or
+    the imaginary part of a root of the phase derivative, on whichever line
+    the maximum of |g| is smallest (the line through the dominant saddle
+    cancels least).  For real parameters g(-t + iy) = (-1)^k conj g(t + iy),
+    so the trapezoid rule sums 2 Re g (2 Im g for odd k) over t in
+    [0, L + |y|], b L^2 + d L^4 = 700, and I_k is real (imaginary for odd
+    k).  The samples are scaled by the maximum of |g| on the line, so the
+    rule neither overflows nor underflows before the value does.  The
+    error estimate is the rule's, floored at the rounding of each sample's
+    exponent.  ArithmeticError when the phase is not finite at L, or the
+    value is not finite or underflows, or the error estimate reaches
+    |value|; a sum that vanishes at every node is an exact 0.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     if k < 0:
         raise ValueError("k must be >= 0")
     if not (d >= 0 and (b > 0 or d > 0)):
@@ -42,21 +48,51 @@ def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
     what = f"quartic-phase quadrature I_{k} at (a, b, c, d) = ({a}, {b}, {c}, {d})"
     if not math.isfinite(abs(a) * lim + abs(c) * lim**3):
         raise ArithmeticError(f"{what}: phase is not finite at x = {lim:.3g}")
-    trig = math.cos if k % 2 == 0 else math.sin
 
-    def integrand(x):
-        return x**k * math.exp(-b * x * x - d * x**4) * trig(a * x + c * x**3)
+    def log_g(t, y):
+        x = t + 1j * y
+        with np.errstate(divide="ignore"):  # log 0 at x = 0 gives g = 0
+            power = k * np.log(np.abs(x)) + 1j * k * np.angle(x) if k else 0.0
+        return power + x * (1j * a + x * (-b + x * (1j * c - d * x)))
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        val, err = quad(integrand, 0.0, lim, limit=200)
-    val, err = 2.0 * val, 2.0 * err  # the fold doubles both
+    # with d = 0 the integrand keeps decaying on a line only while b + 3 c y > 0
+    ys = {0.0} | {float(r.imag) for r in np.roots([-4.0 * d, 3j * c, -2.0 * b, 1j * a])
+                  if d > 0 or b + 3.0 * c * r.imag > 0}
+    lines = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in ys:
+            t = np.linspace(0.0, lim + abs(y), 257)
+            envelope = log_g(t, y).real
+            peak = float(np.max(envelope))
+            # a shifted line counts only if |g| has fallen e^-40 below its peak by the end
+            if y == 0.0 or peak < math.inf and envelope[-1] < min(peak - 40.0, envelope[-2]):
+                lines[y] = (peak, t, envelope)
+    y = min(lines, key=lambda y: lines[y][0])
+    shift, t, envelope = lines[y]
+    take = np.real if k % 2 == 0 else np.imag
+    step = min(0.25 / math.sqrt(abs(b) + 6.0 * math.sqrt(d) + 6.0 * abs(c) ** (2.0 / 3.0)),
+               2.0 / (abs(a) + 1.0))
+    try:
+        val, err = numkit.trapezoid(lambda t: 2.0 * take(np.exp(log_g(t, y) - shift)),
+                                    step, lim + abs(y))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{what}: {exc}") from None
+    if not err:  # every sample is 0
+        return 0j
+    # a sample's exponent carries about eps times its largest term as an absolute
+    # error: that much relative error, integrated over the envelope
+    x = np.abs(t + 1j * y)
+    terms = 1.0 + abs(shift) + x * (abs(a) + x * (abs(b) + x * (abs(c) + d * x)))
+    rounding = 16.0 * np.finfo(float).eps * t[1] * np.sum(np.exp(envelope - shift) * terms)
+    err = max(err, float(rounding))
+    with np.errstate(over="ignore", under="ignore"):
+        val, err = float(val * np.exp(shift)), float(err * np.exp(shift))
     if not math.isfinite(val):
         raise ArithmeticError(f"{what} is not finite")
-    if err and err >= abs(val):
+    if val == 0.0:
+        raise ArithmeticError(f"{what} underflows to 0")
+    if err >= abs(val):
         raise ArithmeticError(f"{what}: error estimate {err:.1e} >= |value| {abs(val):.1e}")
-    if caught:
-        raise ArithmeticError(f"{what}: {str(caught[0].message).strip().splitlines()[0]}")
     return complex(val, 0.0) if k % 2 == 0 else complex(0.0, val)
 
 
@@ -67,15 +103,26 @@ def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
 def laplace_peak(f, interval: tuple[float, float], n: float) -> float:
     """e^(n f(x0)) sqrt(2 pi / (-n f''(x0))) at the interior maximum x0.
 
-    The caller brackets the maximum; raises if the optimiser lands on the
-    boundary or the curvature is not negative.
+    The caller brackets the maximum, which a golden-section search finds;
+    raises if the search lands on the boundary or the curvature is not
+    negative.
     """
-    from scipy.optimize import minimize_scalar
-
     a, b = interval
-    res = minimize_scalar(lambda t: -f(t), bounds=(a, b), method="bounded")
-    x0 = float(res.x)
     span = b - a
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = a, b
+    x1, x2 = hi - shrink * span, lo + shrink * span
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-13 * span:
+        if f1 < f2:  # the maximum is right of x1
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
+    x0 = 0.5 * (lo + hi)
     if min(x0 - a, b - x0) < 1e-4 * span:
         raise ValueError("no interior maximum found in the bracket")
     step = 1e-5 * max(1.0, abs(x0))
@@ -219,21 +266,28 @@ def pearcey_region(a: float, b: float) -> PearceyPoint:
     contour.  8 b^3 < 27 a^2: one axis saddle, two contours.  Equality is
     the saddle-coalescence (caustic-type) boundary; the Stokes locus shows
     up on the b < 0 side in the oscillatory-form coordinates (x, y) =
-    (-b, a).
+    (-b, a).  Both tests are homogeneous of degree 3 in
+    s = max(|a|^(2/3), |b|), so they run on (a, b) scaled to s = 1, where
+    nothing overflows; the reported discriminant is +-inf past float range.
     """
-    disc = 8.0 * b**3 - 27.0 * a**2
-    scale = max(1.0, abs(8.0 * b**3) + abs(27.0 * a**2))
-    if abs(disc) <= BOUNDARY_TOL * scale:
+    s = max(abs(a) ** (2.0 / 3.0), abs(b)) or 1.0
+    x, y = b / s, a / s / math.sqrt(s)
+    cube = s * s * s
+
+    def within(value, size):
+        # |value| s^3 <= BOUNDARY_TOL max(1, size s^3); s^3 may be inf, and no term overflows
+        return abs(value) <= BOUNDARY_TOL * size or abs(value) * cube <= BOUNDARY_TOL
+
+    disc = 8.0 * x**3 - 27.0 * y * y
+    if within(disc, 8.0 * abs(x) ** 3 + 27.0 * y * y):
         region = "caustic-boundary"
-    elif b < 0 and abs(stokes_value(-b, a)) <= BOUNDARY_TOL * max(
-        1.0, abs(13.5 * a * a) + abs(b**3 * (5 + math.sqrt(27.0)))
-    ):
+    elif b < 0 and within(stokes_value(-x, y), 13.5 * y * y + abs(x) ** 3 * (5 + math.sqrt(27.0))):
         region = "stokes-boundary"
     elif disc > 0:
         region = "one-contour"
     else:
         region = "two-contour"
-    return PearceyPoint(region=region, discriminant=disc)
+    return PearceyPoint(region=region, discriminant=disc * cube if disc else 0.0)
 
 
 def pearcey_saddles(a: float, b: float) -> tuple[complex, ...]:
@@ -266,7 +320,10 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex | None:
     saddles) and None everywhere else: the middle saddle is absent in the
     two-contour region, and on the coalescence boundary the Gaussian
     curvature b - 6 x2^2 vanishes.  The derivatives are taken of the full
-    closed form at high precision.
+    closed form at high precision.  The value varies with a on the scale
+    sqrt(b), and the terms of its exponent reach b^2 before they cancel, so
+    the working precision grows by 2 digits per decade of b and the
+    derivatives' step is sqrt(b) times the default.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
@@ -274,9 +331,10 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex | None:
         raise ValueError("k must be >= 0")
     if pearcey_region(a, b).region != "one-contour":
         return None
-    with mp.workdps(40):
+    with mp.workdps(40 + 2 * max(0, math.ceil(math.log10(b)))):
         if k == 0:
             val = _middle_saddle_value(mp.mpf(a), mp.mpf(b))
         else:
-            val = mp.diff(lambda t: _middle_saddle_value(t, mp.mpf(b)), mp.mpf(a), k)
+            step = mp.ldexp(max(1, mp.sqrt(b)), -mp.mp.prec - 10)
+            val = mp.diff(lambda t: _middle_saddle_value(t, mp.mpf(b)), mp.mpf(a), k, h=step)
         return (1j) ** k * complex(val)

@@ -169,9 +169,9 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: config: ")
 
     def test_pearcey_huge_a_exit_1(self, capsys):
-        # quad has no digit at |a| = 1e300, and a x overflows at 1e308: both are
-        # numerical failures, not crashes
-        for a, message in (("1e300", "error estimate"), ("1e308", "not finite")):
+        # the trapezoid rule would need about 1e300 nodes at |a| = 1e300, and
+        # a x overflows at 1e308: both are numerical failures, not crashes
+        for a, message in (("1e300", "nodes"), ("1e308", "not finite")):
             rc = main(["pearcey", "--a", a, "--b", "1"])
             captured = capsys.readouterr()
             assert rc == 1
@@ -180,13 +180,34 @@ class TestCli:
             assert message in captured.err
 
     def test_pearcey_value_below_error_exit_1(self, capsys):
-        # quad gives 1.9e-2 with abserr 4.1e-2 here: no digit of it is known
+        # the value underflows; resolving the phase a x would take about 1e21
+        # trapezoid nodes, past the rule's cap (quad had given 1.9e-2 with
+        # abserr 4.1e-2 here)
         rc = main(["pearcey", "--a", "1e20", "--b", "1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert "error estimate" in captured.err
+        assert "nodes" in captured.err
+
+    def test_pearcey_narrow_gaussian(self, capsys):
+        # 8 b^3 overflows a float at b = 1e200; the region test scales it away
+        rc = main(["pearcey", "--a", "0", "--b", "1e200", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["region"] == "one-contour"
+        assert payload["direct"] == pytest.approx(math.sqrt(math.pi / 1e200), rel=1e-14, abs=0.0)
+        assert payload["saddle"] == pytest.approx(math.sqrt(math.pi / 1e200), rel=1e-14, abs=0.0)
+        assert payload["ratio"] == pytest.approx(1.0, rel=1e-14)
+
+    def test_pearcey_underflow_exit_1(self, capsys):
+        # Gamma(9/2) b^-9/2 = 1.2e-900 at b = 1e200 is below the float range
+        rc = main(["pearcey", "--a", "0", "--b", "1e200", "--k", "8"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "underflows" in captured.err
 
     def test_verify_json_is_valid(self, capsys):
         rc = main(["verify", "--suite", "partition", "--format", "json"])

@@ -280,3 +280,37 @@ class TestMcMean:
         hits = int(_batch_weights(weights, 100_000, 2).sum())
         assert mean == hits / 100_000
         assert se == pytest.approx(math.sqrt(mean * (1.0 - mean) / 100_000), rel=1e-12)
+
+
+class TestTrapezoid:
+    def test_folded_gaussian(self):
+        # int exp(-x^2) over the real line, folded onto [0, 6] as 2 exp(-t^2)
+        value, err = numkit.trapezoid(lambda t: 2.0 * np.exp(-t * t), 0.5, 6.0)
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert 0.0 < err < 1e-13
+
+    def test_half_weight_on_each_zero_coordinate(self):
+        # the quarter plane holds a quarter of the 2-D Gaussian integral pi / 2:
+        # with weight 1 on the axes the sums would be off by about h sqrt(pi)
+        value, err = numkit.trapezoid(lambda s, t: np.exp(-s * s - 2.0 * t * t), 0.4, 7.0, dim=2)
+        assert value == pytest.approx(math.pi / (4.0 * math.sqrt(2.0)), rel=1e-14)
+        assert err < 1e-13
+
+    def test_step_halving_visits_each_node_once(self):
+        # the passes together evaluate the final grid, each node once
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 2.0 * np.exp(-t * t)
+
+        numkit.trapezoid(f, 0.5, 6.0)
+        nodes = np.sort(np.concatenate(calls))
+        step = 0.5 / 2 ** (len(calls) - 1)
+        assert len(calls) >= 2
+        assert np.array_equal(nodes, step * np.arange(round(6.0 / step) + 1))
+
+    def test_node_cap(self):
+        # exp(i 1e8 t) would need about 1e9 nodes to resolve on [0, 6]
+        with pytest.raises(ArithmeticError, match="nodes"):
+            numkit.trapezoid(lambda t: np.cos(1e8 * t) * np.exp(-t * t), 1e-8, 6.0)
