@@ -356,6 +356,28 @@ class TestDegenerateCases:
         assert pearcey_direct(0.0, 0.0, 0).real == pytest.approx(math.gamma(0.25) / 2, rel=1e-10)
 
 
+def test_import_leaves_scipy_unloaded():
+    # `import qmm` pulls in no scipy module
+    import qmm
+
+    src = str(Path(qmm.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import qmm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_partition_oracle_leaves_scipy_unloaded():
+    # the N = 2 quadrature oracle runs on the package's own trapezoid rule
+    import qmm
+
+    src = str(Path(qmm.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qmm; "
+            "from qmm.partition import KineticSpectrum, z_quad_n2; "
+            "z_quad_n2(KineticSpectrum(2, (1.0, 1.1), 0.1)); print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_verify_runs_without_scipy():
     # scipy is a test dependency only: with it unimportable `qmm verify` gives
     # its usual verdicts, every clause PASS but the three documented FAILs
