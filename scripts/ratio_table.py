@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Regenerate the uniform-row-sum ratio table: exact count, asymptotic
-estimate, and their ratio for N = 6..10 (the exact oracle's range under
+estimate, and their ratio for N = 6..11 (the exact oracle's range under
 the default state cap) plus the asymptotic value alone further out.
 
 Usage: python scripts/ratio_table.py [--max-n 12]

@@ -1,19 +1,21 @@
 """Exact counting of zero-diagonal symmetric integer matrices by row sums.
 
-Depth-first distribution of the smallest residual row with memoisation on
-the sorted residual multiset, exact integers throughout and at most
-`state_cap` residual states visited.  This is the brute-force oracle the
-asymptotic formulas are checked against.
+Depth-first distribution of the smallest residual row over the groups of
+equal other rows, with memoisation on the sorted residual multiset, exact
+integers throughout and at most `state_cap` residual states visited.  This
+is the brute-force oracle the asymptotic formulas are checked against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
-# Residual states: uniform rows N=10, t=11 visit 1.4e6 in about 4 s and
-# N=10, t=40 trips this cap after 3.7-4.0 s (Python 3.11, shared 2-core host).
+# Residual states: uniform rows N=10, t=11 visit 2.3e5 in 0.4-0.6 s, N=11,
+# t=12 visit 1.0e6 in 1.7-2.7 s, and N=10, t=40 trips this cap after 3.8-5.4 s
+# (Python 3.11, shared 2-core host).
 DEFAULT_STATE_CAP = 2_000_000
 
 
@@ -49,22 +51,28 @@ def count_row_sums(spec: RowSumSpec, state_cap: int = DEFAULT_STATE_CAP) -> int:
 
     Zero whenever the total is odd.  Memoised on the sorted residual tuple.
     Each peel of the smallest row r0 removes 2 r0, so the total stays even
-    and 2 max <= total decides realisability (Hakimi 1962).  Raises
-    InstanceTooLarge after state_cap recursion calls (memo hits included).
+    and 2 max <= total decides realisability (Hakimi 1962); three or fewer
+    rows that pass it fix the matrix.  r0 is spread over the other rows as
+    (value v, multiplicity k) groups: a group takes a multiset of amounts
+    b_1 >= ... >= b_k, weighted by the k! / prod(mult!) orders of its
+    rows, and at least what the groups after it cannot absorb; a group of
+    one row takes a plain range.  Raises InstanceTooLarge after
+    state_cap recursion calls (memo hits included).
     """
     if spec.x % 2 == 1:
         return 0
     try:
-        return _count(tuple(sorted(spec.t)), {}, [state_cap])
+        return _count(tuple(sorted(spec.t)), {}, {}, [state_cap])
     except InstanceTooLarge:
         raise InstanceTooLarge(
             f"instance too large for exact oracle (> {state_cap:g} states)") from None
 
 
-# Module-level recursion with the memo and the state budget passed in, not
-# closures over them: closures that call themselves are reference cycles,
-# which would leave each count's memo for the cyclic collector.
-def _count(res: tuple[int, ...], memo: dict, budget: list[int]) -> int:
+# Module-level functions with the memo, the table of takes and the state
+# budget passed in, not closures over them: closures that call themselves
+# are reference cycles, which would leave each count's memo for the cyclic
+# collector.
+def _count(res: tuple[int, ...], memo: dict, takes: dict, budget: list[int]) -> int:
     """Matrices left for the ascending residual row sums res; budget[0]
     is the number of states still allowed."""
     budget[0] -= 1
@@ -77,32 +85,62 @@ def _count(res: tuple[int, ...], memo: dict, budget: list[int]) -> int:
         return 1
     if 2 * res[-1] > sum(res):
         return 0
+    if len(res) <= 3:
+        return 1  # three row sums fix the matrix: x_ij = (t_i + t_j - t_k) / 2
     cached = memo.get(res)
     if cached is not None:
         return cached
-    rest = res[1:]
-    tails = [0] * (len(rest) + 1)
-    for i in range(len(rest) - 1, -1, -1):
-        tails[i] = tails[i + 1] + rest[i]
-    total = _distribute(0, res[0], (), rest, tails, memo, budget)
+    # Spread res[0] over the other rows, one group of k equal rows v at a
+    # time, as (leftovers so far, amount still to place, weight).  Every
+    # take is at most res[0] <= v, so only the groups' total bounds it.
+    room = sum(res) - res[0]  # what the groups not yet reached can absorb
+    partial = [((), res[0], 1)]
+    for v, k in Counter(res[1:]).items():
+        room -= v * k
+        grown = []
+        for acc, remaining, weight in partial:
+            for s in range(max(0, remaining - room), remaining + 1):
+                if k == 1:
+                    grown.append((acc + (v - s,), remaining - s, weight))
+                    continue
+                options = takes.get((v, k, s))
+                if options is None:
+                    options = takes[v, k, s] = _takes(v, k, s)
+                for left, ways in options:
+                    grown.append((acc + left, remaining - s, weight * ways))
+        partial = grown
+    total = 0
+    for acc, _, weight in partial:
+        total += weight * _count(tuple(sorted(acc)), memo, takes, budget)
     memo[res] = total
     return total
 
 
-def _distribute(i, remaining, acc, rest, tails, memo, budget) -> int:
-    """Sum of _count over every way to take `remaining` from rest[i:]
-    (at most rest[j] from row j, tails[i] = sum(rest[i:])), with the
-    leftovers of rest[:i] already in acc."""
-    if i == len(rest) - 1:
-        if remaining > rest[i]:
-            return 0
-        return _count(tuple(sorted(acc + (rest[i] - remaining,))), memo, budget)
-    if remaining > tails[i]:
-        return 0
-    total = 0
-    for b in range(min(remaining, rest[i]) + 1):
-        total += _distribute(i + 1, remaining - b, acc + (rest[i] - b,), rest, tails, memo, budget)
-    return total
+def _takes(v: int, k: int, s: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each way to take s from k rows of value v, up to the order of the
+    rows: the rows' leftovers, ascending, and the number of orders,
+    k! / prod(mult!) over the multiplicities of the takes."""
+    out = []
+    for parts in _partitions(s, k, s):
+        amounts = parts + (0,) * (k - len(parts))
+        ways = math.factorial(k)
+        for mult in Counter(amounts).values():
+            ways //= math.factorial(mult)
+        out.append((tuple(v - b for b in amounts), ways))
+    return out
+
+
+def _partitions(s: int, k: int, cap: int):
+    """Non-increasing tuples of at most k positive parts, each at most
+    cap, that sum to s."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(min(s, cap), 0, -1):
+        if first * k < s:
+            break
+        for tail in _partitions(s - first, k - 1, first):
+            yield (first,) + tail
 
 
 def count_total(n: int, x: int) -> int:

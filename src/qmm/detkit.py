@@ -188,15 +188,24 @@ def det_rows(rows):
     pivot cannot overflow, and a zero pivot (a singular point) gives det 0
     without dividing by it.  The lists in rows are the work space: their
     entries are replaced by the elimination's own values, which it
-    updates in place; the arrays passed in are only read.
+    updates in place; the arrays passed in are only read.  A pivot swap
+    exchanges two row lists when no entry is an array; with any array
+    entry (0-d included) it blends the two rows by weights 0 and 1 at
+    every point, so each swapped entry is a new array and no in-place
+    update reaches the caller's.
     """
     n = len(rows)
+    arrays = any(isinstance(v, np.ndarray) for row in rows for v in row)
     det = 1
     flip = False
     for c in range(n):
         for r in range(c + 1, n):
             swap = abs(rows[r][c]) > abs(rows[c][c])
             flip = flip ^ swap
+            if not arrays:
+                if swap:
+                    rows[c], rows[r] = rows[r], rows[c]
+                continue
             keep = np.logical_not(swap)
             # blending finite entries by weights 0 and 1 is exact, and cheaper
             # than np.where's per-element branch on a mask that is half set

@@ -30,9 +30,10 @@ def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
     the maximum of |g| is smallest (the line through the dominant saddle
     cancels least).  For real parameters g(-t + iy) = (-1)^k conj g(t + iy),
     so the trapezoid rule sums 2 Re g (2 Im g for odd k) over t in
-    [0, L + |y|], b L^2 + d L^4 = 700, and I_k is real (imaginary for odd
-    k).  The samples are scaled by the maximum of |g| on the line, so the
-    rule neither overflows nor underflows before the value does.  The
+    [0, L + |r|], b L^2 + d L^4 = 700 and r the farthest root on the line
+    (r = 0 on the real line), and I_k is real (imaginary for odd k).  The
+    samples are scaled by the maximum of |g| on the line, so the rule
+    neither overflows nor underflows before the value does.  The
     error estimate is the rule's, floored at the rounding of each sample's
     exponent.  ArithmeticError when the phase is not finite at L, or the
     value is not finite or underflows, or the error estimate reaches
@@ -55,13 +56,17 @@ def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
             power = k * np.log(np.abs(x)) + 1j * k * np.angle(x) if k else 0.0
         return power + x * (1j * a + x * (-b + x * (1j * c - d * x)))
 
+    # each line's range runs |root| past L, so that it covers its saddles;
     # with d = 0 the integrand keeps decaying on a line only while b + 3 c y > 0
-    ys = {0.0} | {float(r.imag) for r in np.roots([-4.0 * d, 3j * c, -2.0 * b, 1j * a])
-                  if d > 0 or b + 3.0 * c * r.imag > 0}
+    reach = {0.0: 0.0}
+    for r in np.roots([-4.0 * d, 3j * c, -2.0 * b, 1j * a]):
+        y = float(r.imag)
+        if y and (d > 0 or b + 3.0 * c * y > 0):
+            reach[y] = max(reach.get(y, 0.0), abs(r))
     lines = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in ys:
-            t = np.linspace(0.0, lim + abs(y), 257)
+        for y, past in reach.items():
+            t = np.linspace(0.0, lim + past, 257)
             envelope = log_g(t, y).real
             peak = float(np.max(envelope))
             # a shifted line counts only if |g| has fallen e^-40 below its peak by the end
@@ -74,7 +79,7 @@ def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
                2.0 / (abs(a) + 1.0))
     try:
         val, err = numkit.trapezoid(lambda t: 2.0 * take(np.exp(log_g(t, y) - shift)),
-                                    step, lim + abs(y))
+                                    step, lim + reach[y])
     except ArithmeticError as exc:
         raise ArithmeticError(f"{what}: {exc}") from None
     if not err:  # every sample is 0

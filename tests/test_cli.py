@@ -201,13 +201,15 @@ class TestCli:
         assert payload["ratio"] == pytest.approx(1.0, rel=1e-14)
 
     def test_pearcey_underflow_exit_1(self, capsys):
-        # Gamma(9/2) b^-9/2 = 1.2e-900 at b = 1e200 is below the float range
-        rc = main(["pearcey", "--a", "0", "--b", "1e200", "--k", "8"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert "underflows" in captured.err
+        # Gamma(9/2) b^-9/2 = 1.2e-900 at b = 1e200 is below the float range,
+        # and so is the value at a = 1e4, b = 1, whose saddles lie near Re x = 12
+        for args in (["--a", "0", "--b", "1e200", "--k", "8"], ["--a", "1e4", "--b", "1"]):
+            rc = main(["pearcey", *args])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+            assert "underflows" in captured.err
 
     def test_verify_json_is_valid(self, capsys):
         rc = main(["verify", "--suite", "partition", "--format", "json"])

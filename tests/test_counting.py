@@ -1,12 +1,13 @@
 import gc
 import math
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmm.counting import InstanceTooLarge, RowSumSpec, count_row_sums, count_total
+from qmm.counting import InstanceTooLarge, RowSumSpec, _takes, count_row_sums, count_total
 
 N5_SUM32 = [
     ((6, 6, 6, 7, 7), 795),
@@ -95,6 +96,11 @@ def test_uniform_n9_under_default_cap():
     assert count_row_sums(RowSumSpec(9, (10,) * 9)) == 846089582985032
 
 
+def test_uniform_n10_under_default_cap():
+    # the row-by-row counter (no grouping of equal rows) gave this in 2.2 s
+    assert count_row_sums(RowSumSpec(10, (11,) * 10)) == 24545331954624862431
+
+
 def test_count_leaves_no_cyclic_garbage():
     # the memo must go with the call, not wait for the cyclic collector
     gc.collect()
@@ -154,3 +160,41 @@ def test_sum_rule_n5():
                     e = x - a - b - c - d
                     total += count_row_sums(RowSumSpec(n, (a, b, c, d, e)))
     assert total == count_total(n, x)
+
+
+def _grouped_row_sums(rng):
+    # 4-6 rows in groups of 2-4 equal rows, one singleton at most, even total
+    while True:
+        t = []
+        while len(t) < 4:
+            t += [rng.randint(1, 6)] * rng.randint(2, 4)
+        if len(t) < 6 and rng.random() < 0.5:
+            t.append(rng.randint(0, 6))
+        if len(t) <= 6 and sum(t) % 2 == 0:
+            rng.shuffle(t)
+            return t
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grouped_rows_against_brute_force(seed):
+    t = _grouped_row_sums(random.Random(seed))
+    assert count_row_sums(RowSumSpec(len(t), tuple(t))) == _brute_force_count(len(t), t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_rows_against_brute_force(seed):
+    rng = random.Random(100 + seed)
+    t = rng.sample(range(8), rng.randint(4, 6))
+    t[0] += sum(t) % 2  # an even total, so the count is not zero by parity alone
+    assert count_row_sums(RowSumSpec(len(t), tuple(t))) == _brute_force_count(len(t), t)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_takes_weights_count_every_order(k):
+    # summed over the multisets of takes, k!/prod(mult!) counts each way to
+    # take s from k distinguishable rows once: binom(s + k - 1, k - 1)
+    for s in range(9):
+        options = _takes(9, k, s)
+        assert all(left == tuple(sorted(left)) and sum(9 - x for x in left) == s
+                   for left, _ in options)
+        assert sum(ways for _, ways in options) == math.comb(s + k - 1, k - 1)

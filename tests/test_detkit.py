@@ -209,6 +209,38 @@ class TestDetRows:
             d = det_rows([[mp.mpf(1) / (k + l + 1) for l in range(5)] for k in range(5)])
             assert abs(d * 266716800000 - 1) < mp.mpf(10) ** -45
 
+    def test_fraction_permutation_signs(self):
+        for p in permutations(range(4)):
+            rows = [[Fraction(int(p[k] == l)) for l in range(4)] for k in range(4)]
+            sign = (-1) ** sum(p[i] > p[j] for i, j in combinations(range(4), 2))
+            d = det_rows(rows)
+            assert type(d) is Fraction and d == sign
+
+    def test_fraction_singular_is_exact_zero(self):
+        # row 3 = row 1 + 2/3 row 2; column 0 is largest in row 4, so rows swap
+        r1 = [Fraction(1, 3), Fraction(2, 5), Fraction(7), Fraction(1, 2)]
+        r2 = [Fraction(-3, 4), Fraction(5), Fraction(1, 9), Fraction(2)]
+        rows = [r1, r2, [a + Fraction(2, 3) * b for a, b in zip(r1, r2)],
+                [Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(4)]]
+        d = det_rows(rows)
+        assert type(d) is Fraction and d == 0
+
+    def test_mpmath_equals_mp_det(self):
+        import mpmath as mp
+
+        rng = np.random.default_rng(11)
+        with mp.workdps(50):
+            a = mp.matrix([[mp.mpf(int(v)) / 7 for v in row]
+                           for row in rng.integers(-20, 20, (6, 6))])
+            d = det_rows([[a[k, l] for l in range(6)] for k in range(6)])
+            assert abs(d - mp.det(a)) <= mp.mpf(10) ** -45 * abs(d)
+
+    def test_float_scalars_equal_the_array_path(self):
+        a = np.random.default_rng(12).normal(size=(40, 4, 4))
+        batch = det_rows(_rows(a))
+        for m, want in zip(a, batch):
+            assert det_rows(m.tolist()) == want
+
 
 class TestClosedFormDets:
     def test_beta_small_values(self):

@@ -277,6 +277,15 @@ class TestPearceyEval:
         assert got.real == pytest.approx(expect, rel=1e-13, abs=0.0)
         assert got.imag == 0.0
 
+    @pytest.mark.parametrize("a", [1e3, 1e4, 3e4])
+    def test_underflow_with_saddles_past_the_envelope(self, a):
+        # at b = 1 the saddles sit near Re x = 0.87 (a/4)^(1/3), about as far
+        # out as L + |Im x|: a shifted line that stops there fails its tail
+        # test, and the real line then cancels to an error estimate above the
+        # value
+        with pytest.raises(ArithmeticError, match="underflows"):
+            pearcey_direct(a, 1.0, 0)
+
     @pytest.mark.parametrize("b", [1e4, 1e8, 1e30, 1e200])
     def test_narrow_gaussian_limit(self, b):
         # the envelope is about b^-1/2 wide: the range shrinks with it
