@@ -9,12 +9,11 @@ is the brute-force oracle the asymptotic formulas are checked against.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 
-# Residual states: uniform rows N=10, t=11 visit 2.3e5 in 0.4-0.6 s, N=11,
-# t=12 visit 1.0e6 in 1.7-2.7 s, and N=10, t=40 trips this cap after 3.8-5.4 s
+# Residual states: uniform rows N=10, t=11 visit 2.3e5 in 0.4-0.8 s, N=11,
+# t=12 visit 1.0e6 in 1.9-2.3 s, and N=10, t=40 trips this cap after 3.2-3.9 s
 # (Python 3.11, shared 2-core host).
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -55,9 +54,10 @@ def count_row_sums(spec: RowSumSpec, state_cap: int = DEFAULT_STATE_CAP) -> int:
     rows that pass it fix the matrix.  r0 is spread over the other rows as
     (value v, multiplicity k) groups: a group takes a multiset of amounts
     b_1 >= ... >= b_k, weighted by the k! / prod(mult!) orders of its
-    rows, and at least what the groups after it cannot absorb; a group of
-    one row takes a plain range.  Raises InstanceTooLarge after
-    state_cap recursion calls (memo hits included).
+    rows, and at least what the groups after it cannot absorb.  The
+    groups are walked depth first, each residual counted as it is
+    reached.  Raises InstanceTooLarge after state_cap recursion calls
+    (memo hits included).
     """
     if spec.x % 2 == 1:
         return 0
@@ -90,44 +90,53 @@ def _count(res: tuple[int, ...], memo: dict, takes: dict, budget: list[int]) -> 
     cached = memo.get(res)
     if cached is not None:
         return cached
-    # Spread res[0] over the other rows, one group of k equal rows v at a
-    # time, as (leftovers so far, amount still to place, weight).  Every
-    # take is at most res[0] <= v, so only the groups' total bounds it.
-    room = sum(res) - res[0]  # what the groups not yet reached can absorb
-    partial = [((), res[0], 1)]
-    for v, k in Counter(res[1:]).items():
-        room -= v * k
-        grown = []
-        for acc, remaining, weight in partial:
-            for s in range(max(0, remaining - room), remaining + 1):
-                if k == 1:
-                    grown.append((acc + (v - s,), remaining - s, weight))
-                    continue
-                options = takes.get((v, k, s))
-                if options is None:
-                    options = takes[v, k, s] = _takes(v, k, s)
-                for left, ways in options:
-                    grown.append((acc + left, remaining - s, weight * ways))
-        partial = grown
-    total = 0
-    for acc, _, weight in partial:
-        total += weight * _count(tuple(sorted(acc)), memo, takes, budget)
+    sizes = {}  # multiplicity of each value among the other rows
+    for v in res[1:]:
+        sizes[v] = sizes.get(v, 0) + 1
+    groups = tuple(sizes.items())
+    total = _distribute(0, res[0], sum(res) - res[0], (), groups, memo, takes, budget)
     memo[res] = total
     return total
 
 
-def _takes(v: int, k: int, s: int) -> list[tuple[tuple[int, ...], int]]:
+def _distribute(i, remaining, room, acc, groups, memo, takes, budget) -> int:
+    """Sum of _count over every way to take `remaining` from the (value v,
+    multiplicity k) groups[i:], which hold `room` in all, with the
+    leftovers of groups[:i] already in acc.  Every take is at most
+    res[0] <= v, so only what the later groups can absorb bounds it."""
+    v, k = groups[i]
+    room -= v * k
+    last = i + 1 == len(groups)
+    total = 0
+    for s in range(max(0, remaining - room), remaining + 1):
+        options = takes.get((v, k, s))
+        if options is None:
+            options = _takes(v, k, s, takes)
+        for left, ways in options:
+            if last:
+                total += ways * _count(tuple(sorted(acc + left)), memo, takes, budget)
+            else:
+                total += ways * _distribute(
+                    i + 1, remaining - s, room, acc + left, groups, memo, takes, budget)
+    return total
+
+
+def _takes(v: int, k: int, s: int, table: dict):
     """Each way to take s from k rows of value v, up to the order of the
     rows: the rows' leftovers, ascending, and the number of orders,
-    k! / prod(mult!) over the multiplicities of the takes."""
-    out = []
+    k! / prod(mult!) over the multiplicities of the takes.  Made as the
+    caller reaches them and put in table once made in full, so a table
+    never holds more entries than the states they led to."""
+    made = []
     for parts in _partitions(s, k, s):
         amounts = parts + (0,) * (k - len(parts))
-        ways = math.factorial(k)
-        for mult in Counter(amounts).values():
-            ways //= math.factorial(mult)
-        out.append((tuple(v - b for b in amounts), ways))
-    return out
+        ways = run = 1  # orders of amounts[:j + 1], run the length of its last run
+        for j in range(1, k):
+            run = run + 1 if amounts[j] == amounts[j - 1] else 1
+            ways = ways * (j + 1) // run
+        made.append((tuple(v - b for b in amounts), ways))
+        yield made[-1]
+    table[v, k, s] = made
 
 
 def _partitions(s: int, k: int, cap: int):

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -78,6 +79,21 @@ def test_count_total_odd_is_zero():
 def test_resource_guard():
     with pytest.raises(InstanceTooLarge, match="too large"):
         count_row_sums(RowSumSpec(10, (20,) * 10), state_cap=10**4)
+
+
+@pytest.mark.parametrize("t", [tuple(range(17, 24)) + (26,), (36,) * 18])
+def test_resource_guard_bounds_memory(t):
+    # distinct rows, or one large group, leave the smallest row far more ways
+    # to spread than the cap allows; the cap must trip as they are reached,
+    # not after all of them are listed (24-33 MB here)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge, match="too large"):
+            count_row_sums(RowSumSpec(len(t), t), state_cap=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_spec_validation():
@@ -194,7 +210,7 @@ def test_takes_weights_count_every_order(k):
     # summed over the multisets of takes, k!/prod(mult!) counts each way to
     # take s from k distinguishable rows once: binom(s + k - 1, k - 1)
     for s in range(9):
-        options = _takes(9, k, s)
+        options = list(_takes(9, k, s, {}))
         assert all(left == tuple(sorted(left)) and sum(9 - x for x in left) == s
                    for left, _ in options)
         assert sum(ways for _, ways in options) == math.comb(s + k - 1, k - 1)
