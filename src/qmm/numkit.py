@@ -4,9 +4,10 @@ Log-space numbers, the Lambert-W truncation bound, distinct-part
 partition counts and their bound, power sums, the symmetric pole-sum
 functions F and G with the complete homogeneous polynomials that
 criterion 13 checks them against, the seeded Monte Carlo mean that every
-sampler runs through, the randomised quasi-Monte Carlo mean on a
-shifted lattice that criterion 11 runs its partition samplers through, and
-the step-halving trapezoid rule under every deterministic integral.
+sampler runs through, the column blocks its partition weight kernels run
+on, the randomised quasi-Monte Carlo mean on a shifted lattice that
+criterion 11 runs its partition samplers through, and the step-halving
+trapezoid rule under every deterministic integral.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class LogValue:
 MC_BATCH = 1 << 16
 #: samples per draw into _GeneratorRows.rows' scratch block before it is transposed
 _ROW_CHUNK = 1 << 12
+#: columns per block that by_blocks hands a weight kernel: 64 KiB rows keep
+#: every temporary under glibc's 128 KiB mmap threshold and a kernel's
+#: working set inside the per-core L2; the seeded outputs do not depend on it
+KERNEL_BLOCK = 1 << 13
 
 
 class _GeneratorRows:
@@ -82,6 +87,21 @@ class _GeneratorRows:
             draw(out=block)
             out[:, start : start + len(block)] = block.T
         return out
+
+
+def by_blocks(kernel, rows, m: int) -> np.ndarray:
+    """The m weights of an elementwise kernel on the (k, m) rows, KERNEL_BLOCK columns at a time.
+
+    kernel(block) maps a (k, b) column block of rows to the b weights of
+    its columns, each from its own column only, so the weights are
+    kernel(rows)'s bit for bit while no temporary holds more than
+    KERNEL_BLOCK values.  kernel may overwrite its block.
+    """
+    out = np.empty(m)
+    for start in range(0, m, KERNEL_BLOCK):
+        stop = min(start + KERNEL_BLOCK, m)
+        out[start:stop] = kernel(rows[:, start:stop])
+    return out
 
 
 def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
-from .numkit import LogValue, mc_mean, power_sums, rqmc_mean, trapezoid
+from .numkit import LogValue, by_blocks, mc_mean, power_sums, rqmc_mean, trapezoid
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -161,14 +161,18 @@ def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
     mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
     for nn in range(1, spec.n):
-        hit = False
+        hit = None
         for m in range(nn):
             s = cols[m] + cols[nn]
             pole = np.abs(s) < _COLLISION_RTOL * scale
-            denom = denom * np.where(pole, 1.0, s)
-            hit = hit | pole
-        # limit of row nn paired with a 1/(lam_m + lam_nn) pole
-        mat[nn] = [np.where(hit, -2.0 * ek * cols[nn] * x, x) for ek, x in zip(spec.e, mat[nn])]
+            if pole.any():  # the where terms only where a pole fires
+                s = np.where(pole, 1.0, s)
+                hit = pole if hit is None else hit | pole
+            denom = denom * s
+        if hit is not None:
+            # limit of row nn paired with a 1/(lam_m + lam_nn) pole
+            mat[nn] = [np.where(hit, -2.0 * ek * cols[nn] * x, x)
+                       for ek, x in zip(spec.e, mat[nn])]
     det = det_rows(mat)  # before the other factors: its work space sets the peak
     gauss = np.exp(-spec.g * sum(s * s for s in sq))
     return vandermonde_det(cols) * det * gauss / (denom * de)
@@ -202,9 +206,10 @@ def _eigen_sampler(spec: KineticSpectrum):
 
     Proposal: independent normals matched to the softest eigenvalue
     (keeps every determinant term bounded under the weight), drawn as N
-    rows of m standard normals.  Coincident spectra use the exact
-    Delta^2 reduction instead of the det form; a partly coincident
-    spectrum is rejected by eigen_integrand.  Z = scale * E[weights].
+    rows of m standard normals and weighed by numkit.by_blocks.
+    Coincident spectra use the exact Delta^2 reduction instead of the det
+    form; a partly coincident spectrum is rejected by eigen_integrand.
+    Z = scale * E[weights].
     """
     n = spec.n
     e = np.asarray(spec.e)
@@ -217,8 +222,7 @@ def _eigen_sampler(spec: KineticSpectrum):
         ln_pref += _sum_lgamma(n - 1)
         sign = (-1.0) ** (n * (n - 1) // 2)
 
-    def weights(src, m):
-        lam = src.rows("standard_normal", n, m)
+    def kernel(lam):
         lam *= sigma
         cols = list(lam)
         sq = [c * c for c in cols]
@@ -228,6 +232,9 @@ def _eigen_sampler(spec: KineticSpectrum):
         vdm = vandermonde_det(cols)
         ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)
+
+    def weights(src, m):
+        return by_blocks(kernel, src.rows("standard_normal", n, m), m)
 
     return weights, sign * math.exp(ln_pref)
 
@@ -258,9 +265,10 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
     buffers.
     """
     m = diag.shape[1]
-    # entries as (sign, row), B[l, k] = -B[k, l]: a negated copy of im, one
-    # more (p, m) block per call, made the mc benchmark pass about 10% slower
-    # (8,500 against 4,300 minor page faults per pass)
+    # entries as (sign, row), B[l, k] = -B[k, l], so no negated copy of im
+    # is made; on whole 65,536-sample rows such a copy doubled the mc
+    # benchmark's page faults and cost 10%, on KERNEL_BLOCK rows it costs
+    # no page faults and no time the host can resolve
     a = {(i, i): (1, diag[i]) for i in range(n)}
     b = {}
     for idx, (k, l) in enumerate(combinations(range(n), 2)):
@@ -306,30 +314,29 @@ def _matrix_sampler(spec: KineticSpectrum):
     The proposal is the exact g=0 Gaussian: the quadratic form is diagonal
     in the matrix components, so each is a scaled standard normal, drawn
     as the rows of the blocks diag (N, m), re and im (N(N-1)/2, m each),
-    in the order the seeded outputs depend on, and
-    Z = z_free * E[exp(-g Tr X^4)].  At g = 0 every weight is 1.
+    in the order the seeded outputs depend on, into one (N^2, m) buffer
+    that numkit.by_blocks weighs, and Z = z_free * E[exp(-g Tr X^4)].
+    At g = 0 every weight is 1.
     """
     n = spec.n
     if n > MATRIX_MC_MAX_N:
         raise ValueError(f"matrix MC limited to n <= {MATRIX_MC_MAX_N} (N^2-dimensional integral)")
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))
-    sd_diag = 1.0 / np.sqrt(2.0 * e)
-    sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])
+    p = len(pairs)
+    sd_off = [1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs]
+    sd = np.array([*(1.0 / np.sqrt(2.0 * e)), *sd_off, *sd_off])[:, None]
+
+    def kernel(z):
+        z *= sd
+        return np.exp(-spec.g * _trace_x4(n, z[:n], z[n : n + p], z[n + p :]))
 
     def weights(src, m):
-        # one buffer for the three blocks: three separate arrays leave glibc's
-        # mmap threshold lower, and the mc benchmark pass then takes about
-        # 10x the page faults and 10% longer
-        z = np.empty((n + 2 * len(pairs), m))
-        diag = z[:n]
-        re, im = z[n:].reshape(2, len(pairs), m)
-        for block in (diag, re, im):
+        # one buffer, so that by_blocks cuts diag, re and im at the same columns
+        z = np.empty((n + 2 * p, m))
+        for block in (z[:n], z[n : n + p], z[n + p :]):
             src.rows("standard_normal", len(block), m, out=block)
-        diag *= sd_diag[:, None]
-        re *= sd_off[:, None]
-        im *= sd_off[:, None]
-        return np.exp(-spec.g * _trace_x4(n, diag, re, im))
+        return by_blocks(kernel, z, m)
 
     return weights, z_free(spec).value
 

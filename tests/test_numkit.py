@@ -246,6 +246,23 @@ class TestRows:
             numkit._LatticeColumns(normals).rows("random", 1, points)
 
 
+class TestByBlocks:
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_blocks_cover_each_column_once(self, past):
+        m = numkit.KERNEL_BLOCK + past
+        rows = np.random.default_rng(14).standard_normal((3, m))
+        widths = []
+
+        def kernel(block):
+            widths.append(block.shape[1])
+            return np.exp(block[0]) * block[1] - block[2] * block[2]
+
+        got = numkit.by_blocks(kernel, rows, m)
+        want = np.exp(rows[0]) * rows[1] - rows[2] * rows[2]
+        np.testing.assert_array_equal(got, want)
+        assert widths == ([m] if past <= 0 else [numkit.KERNEL_BLOCK, 1])
+
+
 def _batch_weights(weights, samples, seed):
     # the weights mc_mean sees, batch by batch from the one generator
     src = numkit._GeneratorRows(seed)

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qmm import partition
+from qmm import numkit, partition
 from qmm.detkit import exp_det_factorization, vandermonde_det
 from qmm.partition import (
     KineticSpectrum,
@@ -18,6 +18,7 @@ from qmm.partition import (
     z_mc_eigen,
     z_mc_matrix,
     z_quad_n2,
+    z_rqmc_eigen,
     z_rqmc_matrix,
     z_weak,
     z_weak_expanded,
@@ -276,6 +277,68 @@ def test_eigen_mc_seeded_outputs_pinned(key):
     want_mean, want_se = EIGEN_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert se == pytest.approx(want_se, rel=1e-12)
+
+
+# Kernel blocks: numkit.by_blocks weighs each batch KERNEL_BLOCK columns at
+# a time, and every sampler returns the same bits as with one block per
+# batch.  The sample counts fall below, just short of and just past one
+# block, and past one batch.
+BLOCK_SAMPLES = [1000, numkit.KERNEL_BLOCK - 1, numkit.KERNEL_BLOCK + 1, 70_000]
+
+
+def _blocked_and_whole(monkeypatch, run):
+    blocked = run()
+    monkeypatch.setattr(numkit, "KERNEL_BLOCK", numkit.MC_BATCH)
+    return blocked, run()
+
+
+@pytest.mark.parametrize("samples", BLOCK_SAMPLES)
+@pytest.mark.parametrize("e", [(1.0, 1.1), (1.0, 1.1, 1.2), (1.0, 1.1, 1.2, 1.3), (1.0, 1.0, 1.0)])
+def test_eigen_mc_same_bits_in_one_block(monkeypatch, e, samples):
+    spec = KineticSpectrum(len(e), e, 0.1)
+    blocked, whole = _blocked_and_whole(monkeypatch, lambda: z_mc_eigen(spec, samples, 51))
+    assert blocked == whole
+
+
+@pytest.mark.parametrize("samples", BLOCK_SAMPLES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_mc_same_bits_in_one_block(monkeypatch, n, samples):
+    spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], 0.1)
+    blocked, whole = _blocked_and_whole(monkeypatch, lambda: z_mc_matrix(spec, samples, 52))
+    assert blocked == whole
+
+
+@pytest.mark.parametrize("run", [
+    lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 53),
+    lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.0, 1.0), 0.1), 54),
+    lambda: z_rqmc_matrix(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 55),
+], ids=["eigen-det", "eigen-equal", "matrix"])
+def test_rqmc_same_bits_in_one_block(monkeypatch, run):
+    assert numkit.LATTICE_POINTS > numkit.KERNEL_BLOCK
+    blocked, whole = _blocked_and_whole(monkeypatch, run)
+    assert blocked == whole
+
+
+def test_eigen_weights_with_a_pole_past_the_first_block(monkeypatch):
+    # one exact collision lam_2 = -lam_0 at column 9000 of a batch, no pole
+    # in any other column: the first block skips the pole terms and the
+    # second takes them, and the weights are finite and those of one block
+    spec = KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1)
+    m = numkit.MC_BATCH
+    lam = np.random.default_rng(56).standard_normal((3, m))
+    lam[2, 9000] = -lam[0, 9000]
+    near = np.array([np.abs(lam[a] + lam[b]) < 1e-6 for a, b in combinations(range(3), 2)])
+    assert near.any(axis=0).nonzero()[0].tolist() == [9000]
+    assert numkit.KERNEL_BLOCK <= 9000 < 2 * numkit.KERNEL_BLOCK
+
+    class Rows:
+        def rows(self, method, k, m):
+            return lam.copy()  # the weights scale their rows in place
+
+    weights, _ = partition._eigen_sampler(spec)
+    blocked, whole = _blocked_and_whole(monkeypatch, lambda: weights(Rows(), m))
+    assert np.isfinite(blocked).all() and blocked[9000] != 0.0
+    np.testing.assert_array_equal(blocked, whole)
 
 
 def test_haar_mc_seeded_output_pinned():
