@@ -49,6 +49,13 @@ def _round_sig(x: float, sig: int) -> float:
     return round(x, -exp + sig - 1)
 
 
+def _sigmas(est: float, ref: float, se: float) -> float:
+    """|est - ref| in standard errors; at se = 0 only est == ref agrees (0, else inf)."""
+    if se == 0:
+        return 0.0 if est == ref else math.inf
+    return abs(est - ref) / se
+
+
 # ---------------------------------------------------------------------------
 # frozen reference tables
 
@@ -196,7 +203,7 @@ def check_5(cfg: RunConfig) -> list[CheckResult]:
         if exact < 0.01:
             continue
         est, se = polytope.mc_volume(spec, 10**6, seed=cfg.seed + checked)
-        dev = abs(est - exact) / se if se > 0 else 0.0
+        dev = _sigmas(est, exact, se)
         ok_all &= dev <= 3.0
         details.append(f"{dev:.2f}")
         checked += 1
@@ -448,14 +455,14 @@ def check_11(cfg: RunConfig) -> list[CheckResult]:
     coupled = partition.KineticSpectrum(2, (1.0, 1.1), 0.1)
     quad, quad_err = partition.z_quad_n2(coupled)
     est_m, se_m = partition.z_rqmc_matrix(coupled, seed=cfg.seed)
-    sigmas = abs(est_m - quad) / se_m
+    sigmas = _sigmas(est_m, quad, se_m)
     ok_m = abs(est_m - quad) / quad <= 0.02 and sigmas <= 4.0
     est_e, se_e = partition.z_rqmc_eigen(spec, seed=cfg.seed)
-    sigmas_e = abs(est_e - zf) / se_e
+    sigmas_e = _sigmas(est_e, zf, se_e)
     ok_e = abs(est_e - zf) / zf <= 0.03 and sigmas_e <= 4.0
     f = partition.hciz_value((0.0, 1.0), (0.0, 1.0), 1.0)
     m, se_h = partition.hciz_haar_mc2((0.0, 1.0), (0.0, 1.0), 1.0, 10**6, seed=cfg.seed)
-    sigmas_h = abs(m - f) / se_h
+    sigmas_h = _sigmas(m, f, se_h)
     ok_h = abs(m - f) / f <= 0.01 and sigmas_h <= 4.0
     lattice = f"{numkit.LATTICE_POINTS} points x {numkit.RQMC_REPLICATES} shifts"
     return [

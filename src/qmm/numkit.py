@@ -3,16 +3,17 @@
 Log-space numbers, the Lambert-W truncation bound, distinct-part
 partition counts and their bound, power sums, the symmetric pole-sum
 functions F and G with the complete homogeneous polynomials that
-criterion 13 checks them against, the seeded Monte Carlo mean that every
-sampler runs through, the column blocks its partition weight kernels run
-on, the randomised quasi-Monte Carlo mean on a shifted lattice that
-criterion 11 runs its partition samplers through, and the step-halving
-trapezoid rule under every deterministic integral.
+criterion 13 checks them against, the Sampler record (draws, column
+kernel, scale) that every Monte Carlo oracle is, the two estimators that
+do its drawing, column blocking and scaling (the seeded Monte Carlo mean
+and the randomised quasi-Monte Carlo mean on a shifted lattice), and the
+step-halving trapezoid rule under every deterministic integral.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -50,91 +51,104 @@ class LogValue:
 
 #: samples drawn per batch; the seeded outputs depend on it
 MC_BATCH = 1 << 16
-#: samples per draw into _GeneratorRows.rows' scratch block before it is transposed
+#: samples per draw into _draw's scratch block before it is transposed
 _ROW_CHUNK = 1 << 12
-#: columns per block that by_blocks hands a weight kernel: 64 KiB rows keep
+#: columns per block that a sampler's kernel weighs: 64 KiB rows keep
 #: every temporary under glibc's 128 KiB mmap threshold and a kernel's
 #: working set inside the per-core L2; the seeded outputs do not depend on it
 KERNEL_BLOCK = 1 << 13
 
 
-class _GeneratorRows:
-    """The generator mc_mean hands to a weight function.
+@dataclass(frozen=True)
+class Sampler:
+    """A Monte Carlo oracle whose estimate is scale * E[weight].
 
-    default_rng(seed), whose methods and attributes it passes through,
-    that also serves its draws component-major: rows(method, k, m)
-    returns what rng.<method>((m, k)).T holds, as k C-contiguous rows of
-    length m, and leaves the generator in the same state.  The (m, k)
-    draw is made _ROW_CHUNK samples at a time into a small scratch block,
-    then transposed into the rows, so no full sample-major block is ever
-    alive.
+    draws lists the (method, k) groups of each sample in stream order: k
+    components drawn by the generator's method ("standard_normal",
+    "random", "standard_exponential").  kernel(*blocks) takes one (k, b)
+    column block per group, one row per component, and returns the b
+    weights (float or bool) of its columns.  Each weight comes from its
+    own column only, so the weights do not depend on the blocking; the
+    kernel may overwrite its blocks.
     """
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
+    draws: tuple[tuple[str, int], ...]
+    kernel: Callable
+    scale: float = 1.0
 
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+    @property
+    def dim(self) -> int:
+        """Components per sample, over all groups."""
+        return sum(k for _, k in self.draws)
 
-    def rows(self, method, k, m, out=None):
-        """k rows of m draws of rng.<method>, written to out if given."""
-        if out is None:
-            out = np.empty((k, m))
-        scratch = np.empty((min(_ROW_CHUNK, m), k))
-        draw = getattr(self._rng, method)
-        for start in range(0, m, _ROW_CHUNK):
-            block = scratch[: m - start]
-            draw(out=block)
-            out[:, start : start + len(block)] = block.T
-        return out
+    def _split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The (dim, m) rows as one (k, m) view per group."""
+        return np.split(rows, np.cumsum([k for _, k in self.draws])[:-1])
 
 
-def by_blocks(kernel, rows, m: int) -> np.ndarray:
-    """The m weights of an elementwise kernel on the (k, m) rows, KERNEL_BLOCK columns at a time.
+def _draw(rng, method: str, rows: np.ndarray) -> None:
+    """Fill the (k, m) rows with rng.<method>((m, k)).T, leaving rng as that draw would.
 
-    kernel(block) maps a (k, b) column block of rows to the b weights of
-    its columns, each from its own column only, so the weights are
-    kernel(rows)'s bit for bit while no temporary holds more than
-    KERNEL_BLOCK values.  kernel may overwrite its block.
+    A single row is drawn in place.  Several are drawn _ROW_CHUNK samples
+    at a time into a small scratch block, each piece then transposed into
+    the rows, so no sample-major block of the batch is ever alive.
     """
-    out = np.empty(m)
-    for start in range(0, m, KERNEL_BLOCK):
-        stop = min(start + KERNEL_BLOCK, m)
-        out[start:stop] = kernel(rows[:, start:stop])
+    draw = getattr(rng, method)
+    k, m = rows.shape
+    if k == 1:
+        draw(out=rows[0])
+        return
+    scratch = np.empty((min(_ROW_CHUNK, m), k))
+    for start in range(0, m, _ROW_CHUNK):
+        block = scratch[: m - start]
+        draw(out=block)
+        rows[:, start : start + len(block)] = block.T
+
+
+def _weigh(kernel, groups, out: np.ndarray) -> np.ndarray:
+    """out = kernel(*groups) over the groups' columns, KERNEL_BLOCK columns at a time."""
+    for start in range(0, len(out), KERNEL_BLOCK):
+        cols = slice(start, start + KERNEL_BLOCK)
+        out[cols] = kernel(*(g[:, cols] for g in groups))
     return out
 
 
-def mc_mean(batch, samples: int, seed: int) -> tuple[float, float]:
-    """Seeded Monte Carlo mean of per-sample weights, as (mean, stderr).
+def mc_mean(sampler: Sampler, samples: int, seed: int) -> tuple[float, float]:
+    """Seeded Monte Carlo estimate of scale * E[weight], as (value, stderr).
 
-    batch(src, m) returns the m weights of the next batch (float or bool).
-    src is the one generator default_rng(seed), as a _GeneratorRows: the
-    weight function takes its draws as component rows,
-    src.rows(method, k, m), or calls the generator's own methods.  Batches
-    hold MC_BATCH samples except the last.  stderr is sqrt(var / samples)
-    with the population variance var of all the weights, from each batch's
-    squared deviations about its own mean, combined by Chan et al.'s
-    parallel update, so near-constant weights keep their digits.
+    The one generator default_rng(seed) fills each batch's groups in
+    stream order, as _draw does, and the kernel weighs them by _weigh.
+    The draws and the weights of every batch share one buffer each.
+    Batches hold MC_BATCH samples except the last.  stderr is
+    |scale| sqrt(var / samples) with the population variance var of all
+    the weights, from each batch's squared deviations about its own mean,
+    combined by Chan et al.'s parallel update, so near-constant weights
+    keep their digits.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    src = _GeneratorRows(seed)
+    rng = np.random.default_rng(seed)
+    rows = np.empty((sampler.dim, min(MC_BATCH, samples)))
+    weights = np.empty(rows.shape[1])
     total = 0.0
     sq_dev = 0.0  # sum of squared deviations from the mean of the batches so far
     done = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        w = batch(src, m)
+        groups = sampler._split(rows[:, :m])
+        for (method, _), group in zip(sampler.draws, groups):
+            _draw(rng, method, group)
+        w = _weigh(sampler.kernel, groups, weights[:m])
         part = float(w.sum())
-        d = w - part / m
-        d *= d
-        sq_dev += float(d.sum())
+        w -= part / m
+        w *= w
+        sq_dev += float(w.sum())
         if done:
             sq_dev += (part / m - total / done) ** 2 * done * m / (done + m)
         total += part
         done += m
     mean = total / samples
-    return mean, math.sqrt(sq_dev / samples / samples)
+    return sampler.scale * mean, abs(sampler.scale) * math.sqrt(sq_dev / samples / samples)
 
 
 # ---------------------------------------------------------------------------
@@ -150,35 +164,6 @@ KOROBOV_A = 7465
 LATTICE_MAX_DIM = 10
 #: independent random shifts; their spread gives the stderr
 RQMC_REPLICATES = 16
-
-
-class _LatticeColumns:
-    """The sample source rqmc_mean hands to a weight function.
-
-    It serves one replicate's normals, one lattice coordinate (a column
-    of the points) per row, through the row protocol of _GeneratorRows:
-    rows("standard_normal", k, m) returns the next k rows of normals
-    themselves, without a copy, as the caller's to overwrite, or writes
-    them to out.  It serves no other distribution.
-    """
-
-    def __init__(self, normals):
-        self.normals = normals  # (dim, points)
-        self.used = 0
-
-    def rows(self, method, k, m, out=None):
-        dim, points = self.normals.shape
-        if method != "standard_normal":
-            raise ValueError(f"the lattice serves standard normals, not {method}")
-        if m != points or self.used + k > dim:
-            raise ValueError(f"asked for {k} more rows of {m} after {self.used} "
-                             f"of the {dim} x {points} lattice normals")
-        self.used += k
-        rows = self.normals[self.used - k : self.used]
-        if out is None:
-            return rows
-        out[...] = rows
-        return out
 
 
 def _lattice(dim: int) -> np.ndarray:
@@ -209,29 +194,33 @@ def _lattice_normals(points: np.ndarray, shift) -> np.ndarray:
     return u
 
 
-def rqmc_mean(batch, dim: int, seed: int) -> tuple[float, float]:
-    """Randomised quasi-Monte Carlo mean of per-point weights, as (mean, stderr).
+def rqmc_mean(sampler: Sampler, seed: int) -> tuple[float, float]:
+    """Randomised quasi-Monte Carlo estimate of scale * E[weight], as (value, stderr).
 
-    batch(src, m) is a weight function as mc_mean takes, which draws only
-    standard normals, through src.rows("standard_normal", k, m), dim rows
-    in all.  Here src is a _LatticeColumns: it hands out the normals of
-    the LATTICE_POINTS-point Korobov lattice under each of RQMC_REPLICATES
-    uniform shifts from default_rng(seed), one replicate at a time.  The
-    estimate is the mean of the replicate means and the stderr their
-    standard deviation over sqrt(RQMC_REPLICATES).
+    The sampler draws standard normals only, 1 to LATTICE_MAX_DIM per
+    point.  Its kernel weighs the normals of the LATTICE_POINTS-point
+    Korobov lattice under each of RQMC_REPLICATES uniform shifts from
+    default_rng(seed), one replicate at a time, handed over as views split
+    by the groups, by _weigh.  The estimate is scale times the mean of the
+    replicate means, the stderr |scale| times their standard deviation
+    over sqrt(RQMC_REPLICATES).
     """
+    dim = sampler.dim
     if not 1 <= dim <= LATTICE_MAX_DIM:
         raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {dim}")
+    for method, _ in sampler.draws:
+        if method != "standard_normal":
+            raise ValueError(f"the lattice serves standard normals, not {method}")
     points = _lattice(dim + dim % 2)  # Box-Muller takes coordinates in pairs
     rng = np.random.default_rng(seed)
     shifts = rng.random((RQMC_REPLICATES, len(points)))
+    weights = np.empty(LATTICE_POINTS)
     means = np.empty(RQMC_REPLICATES)
     for r, shift in enumerate(shifts):
-        src = _LatticeColumns(_lattice_normals(points, shift)[:dim])
-        means[r] = float(batch(src, LATTICE_POINTS).mean())
-        if src.used != dim:
-            raise ValueError(f"the weights used {src.used} of {dim} normals")
-    return float(means.mean()), float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
+        groups = sampler._split(_lattice_normals(points, shift)[:dim])
+        means[r] = float(_weigh(sampler.kernel, groups, weights).mean())
+    se = float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
+    return sampler.scale * float(means.mean()), abs(sampler.scale) * se
 
 
 # ---------------------------------------------------------------------------

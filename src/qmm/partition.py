@@ -2,9 +2,11 @@
 
 Closed forms (free, weak-coupling, zero-kinetics), the symmetrised
 eigenvalue integrand with collision-safe evaluation, Monte-Carlo
-cross-checks over matrices and over eigenvalues, the unitary-group
-integral for coupled quadratic traces, and the two free-theory expansion
-routes whose controlled disagreement is itself a deliverable.
+cross-checks over matrices and over eigenvalues (each a numkit.Sampler
+that numkit.mc_mean and numkit.rqmc_mean run) and over U(2), the
+unitary-group integral for coupled quadratic traces, and the two
+free-theory expansion routes whose controlled disagreement is itself a
+deliverable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
-from .numkit import LogValue, by_blocks, mc_mean, power_sums, rqmc_mean, trapezoid
+from .numkit import LogValue, Sampler, mc_mean, power_sums, rqmc_mean, trapezoid
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -201,15 +203,14 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
     return -0.5 * math.pi * float(value), 0.5 * math.pi * float(err)
 
 
-def _eigen_sampler(spec: KineticSpectrum):
-    """(weights, scale) of the importance-sampled eigenvalue-reduced integral.
+def _eigen_sampler(spec: KineticSpectrum) -> Sampler:
+    """The importance-sampled eigenvalue-reduced integral as a Sampler.
 
     Proposal: independent normals matched to the softest eigenvalue
-    (keeps every determinant term bounded under the weight), drawn as N
-    rows of m standard normals and weighed by numkit.by_blocks.
-    Coincident spectra use the exact Delta^2 reduction instead of the det
-    form; a partly coincident spectrum is rejected by eigen_integrand.
-    Z = scale * E[weights].
+    (keeps every determinant term bounded under the weight), N standard
+    normals per sample.  Coincident spectra use the exact Delta^2
+    reduction instead of the det form; a partly coincident spectrum is
+    rejected by eigen_integrand.
     """
     n = spec.n
     e = np.asarray(spec.e)
@@ -233,24 +234,17 @@ def _eigen_sampler(spec: KineticSpectrum):
         ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)
 
-    def weights(src, m):
-        return by_blocks(kernel, src.rows("standard_normal", n, m), m)
-
-    return weights, sign * math.exp(ln_pref)
+    return Sampler((("standard_normal", n),), kernel, sign * math.exp(ln_pref))
 
 
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
     """Importance-sampled MC of the eigenvalue-reduced partition function."""
-    weights, scale = _eigen_sampler(spec)
-    mean, se = mc_mean(weights, samples, seed)
-    return scale * mean, abs(scale) * se
+    return mc_mean(_eigen_sampler(spec), samples, seed)
 
 
 def z_rqmc_eigen(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
-    """z_mc_eigen's weights on numkit.rqmc_mean's shifted lattice (N <= 10)."""
-    weights, scale = _eigen_sampler(spec)
-    mean, se = rqmc_mean(weights, spec.n, seed)
-    return scale * mean, abs(scale) * se
+    """z_mc_eigen's sampler on numkit.rqmc_mean's shifted lattice (N <= 10)."""
+    return rqmc_mean(_eigen_sampler(spec), seed)
 
 
 def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -308,14 +302,13 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
     return tr
 
 
-def _matrix_sampler(spec: KineticSpectrum):
-    """(weights, scale) of the integral over Hermitian matrices.
+def _matrix_sampler(spec: KineticSpectrum) -> Sampler:
+    """The integral over Hermitian matrices as a Sampler.
 
     The proposal is the exact g=0 Gaussian: the quadratic form is diagonal
     in the matrix components, so each is a scaled standard normal, drawn
-    as the rows of the blocks diag (N, m), re and im (N(N-1)/2, m each),
-    in the order the seeded outputs depend on, into one (N^2, m) buffer
-    that numkit.by_blocks weighs, and Z = z_free * E[exp(-g Tr X^4)].
+    as the groups diag (N rows), re and im (N(N-1)/2 rows each), in the
+    order the seeded outputs depend on, and Z = z_free * E[exp(-g Tr X^4)].
     At g = 0 every weight is 1.
     """
     n = spec.n
@@ -324,21 +317,17 @@ def _matrix_sampler(spec: KineticSpectrum):
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))
     p = len(pairs)
-    sd_off = [1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs]
-    sd = np.array([*(1.0 / np.sqrt(2.0 * e)), *sd_off, *sd_off])[:, None]
+    sd_diag = (1.0 / np.sqrt(2.0 * e))[:, None]
+    sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])[:, None]
 
-    def kernel(z):
-        z *= sd
-        return np.exp(-spec.g * _trace_x4(n, z[:n], z[n : n + p], z[n + p :]))
+    def kernel(diag, re, im):
+        diag *= sd_diag
+        re *= sd_off
+        im *= sd_off
+        return np.exp(-spec.g * _trace_x4(n, diag, re, im))
 
-    def weights(src, m):
-        # one buffer, so that by_blocks cuts diag, re and im at the same columns
-        z = np.empty((n + 2 * p, m))
-        for block in (z[:n], z[n : n + p], z[n + p :]):
-            src.rows("standard_normal", len(block), m, out=block)
-        return by_blocks(kernel, z, m)
-
-    return weights, z_free(spec).value
+    draws = (("standard_normal", n), ("standard_normal", p), ("standard_normal", p))
+    return Sampler(draws, kernel, z_free(spec).value)
 
 
 def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
@@ -346,16 +335,12 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
 
     At g = 0 this is z_free exactly, with stderr 0.  Deterministic per seed.
     """
-    weights, scale = _matrix_sampler(spec)
-    mean, se = mc_mean(weights, samples, seed)
-    return scale * mean, scale * se
+    return mc_mean(_matrix_sampler(spec), samples, seed)
 
 
 def z_rqmc_matrix(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
-    """z_mc_matrix's weights on numkit.rqmc_mean's shifted lattice (N <= 3)."""
-    weights, scale = _matrix_sampler(spec)
-    mean, se = rqmc_mean(weights, spec.n * spec.n, seed)
-    return scale * mean, scale * se
+    """z_mc_matrix's sampler on numkit.rqmc_mean's shifted lattice (N <= 3)."""
+    return rqmc_mean(_matrix_sampler(spec), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +367,8 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
     if len(x) != 2 or len(y) != 2:
         raise ValueError("Haar cross-check implemented for N = 2")
 
-    def weights(rng, m):
-        p = 1.0 - rng.random(m)
+    def kernel(u):
+        p = 1.0 - u[0]
         return np.exp(
             t
             * (
@@ -394,7 +379,7 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
             )
         )
 
-    return mc_mean(weights, samples, seed)
+    return mc_mean(Sampler((("random", 1),), kernel), samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Exact formulas for N=3 (point polytope) and N=4 (piecewise quadratic),
 two Monte-Carlo oracles (hit-and-miss over the free off-diagonal block,
-and a row-peeling simplex sampler that stays usable at N ~ 9), the rule
-that picks the closed form and the sampler at each N, and the asymptotic
+and a row-peeling simplex sampler that stays usable at N ~ 9), each a
+column kernel over its draws that numkit.mc_mean runs, the rule that
+picks the closed form and the sampler at each N, and the asymptotic
 product formula with its applicability diagnostic.
 
 Conventions: h_j are the diagonal entries, u_j = 1 - h_j the off-diagonal
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import LogValue, mc_mean, power_sums
+from .numkit import LogValue, Sampler, mc_mean, power_sums
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,9 @@ def mc_volume(
                   np.greater_equal))
     tests.append((range(len(pairs)), half - u[0], np.less_equal))
 
-    def weights(src, m):
-        x = src.rows("random", len(pairs), m)  # one row per free entry
+    def kernel(x):  # one row per free entry
         x *= box[:, None]
+        m = x.shape[1]
         ok = np.ones(m, dtype=bool)
         acc = np.empty(m)
         hit = np.empty(m, dtype=bool)
@@ -146,8 +147,7 @@ def mc_volume(
             ok &= test(total, bound, out=hit)
         return ok
 
-    p, se = mc_mean(weights, samples, seed)
-    return box_vol * p, box_vol * se
+    return mc_mean(Sampler((("random", len(pairs)),), kernel, box_vol), samples, seed)
 
 
 def mc_volume_peel(
@@ -168,15 +168,14 @@ def mc_volume_peel(
     n = spec.n
     u0 = np.asarray(spec.u)
 
-    def weights(src, batch):
-        res = np.empty((n, batch))  # residual row sums, one row per matrix row
+    def kernel(*peeled):
+        res = np.empty((n, peeled[0].shape[1]))  # residual row sums, one row per matrix row
         res[:] = u0[:, None]
-        w = np.ones(batch)
-        for k in range(n, 4, -1):
-            m = k - 1
-            s = res[k - 1]
-            # uniform point of the simplex {g >= 0, sum g = s}, one row per entry
-            g = src.rows("standard_exponential", m, batch)
+        w = np.ones(res.shape[1])
+        for g in peeled:  # the m entries of row m + 1, one row per entry
+            m = len(g)
+            s = res[m]
+            # g becomes a uniform point of the simplex {g >= 0, sum g = s}
             scale = g[0] + g[1]
             for j in range(2, m):
                 scale += g[j]
@@ -187,7 +186,9 @@ def mc_volume_peel(
             w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
         return w * _exact_volume_n4_rowsum(res[:4].T)
 
-    return mc_mean(weights, samples, seed)
+    # rows n, ..., 5 are peeled in turn, row k drawing k - 1 exponentials
+    draws = tuple(("standard_exponential", k - 1) for k in range(n, 4, -1))
+    return mc_mean(Sampler(draws, kernel), samples, seed)
 
 
 def exact_volume(spec: DiagonalSpec) -> float | None:

@@ -6,13 +6,14 @@ saddle-derivative ratio column for k >= 1) are strict xfails with the
 analysis in their reports; everything else must pass.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from qmm import partition, polytope
-from qmm.acceptance import check_5, check_11, run_acceptance
+from qmm.acceptance import _sigmas, check_5, check_11, run_acceptance
 from qmm.config import RunConfig
 
 
@@ -115,3 +116,25 @@ def test_n4_clause_fails_on_a_scaled_volume(monkeypatch):
     monkeypatch.setattr(polytope, "exact_volume_n4", lambda spec: 1.05 * exact(spec))
     clause = next(r for r in check_5(RunConfig()) if "N=4" in r.clause)
     assert not clause.passed and not clause.known_issue, clause.detail
+
+
+def test_zero_stderr_agrees_only_at_equality():
+    assert _sigmas(0.25, 0.25, 0.0) == 0.0
+    assert _sigmas(0.25, 0.2500001, 0.0) == math.inf
+    assert _sigmas(0.25, 0.2, 0.01) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("gap, passed", [(0.0, True), (1e-9, False)])
+def test_n4_clause_with_zero_stderr(monkeypatch, gap, passed):
+    # a sampler that reports stderr 0 passes only where it hits the formula
+    exact = polytope.exact_volume_n4
+    monkeypatch.setattr(polytope, "mc_volume", lambda spec, samples, seed: (exact(spec) + gap, 0.0))
+    clause = next(r for r in check_5(RunConfig()) if "N=4" in r.clause)
+    assert clause.passed == passed, clause.detail
+
+
+def test_haar_clause_with_zero_stderr(monkeypatch):
+    value = partition.hciz_value((0.0, 1.0), (0.0, 1.0), 1.0)
+    monkeypatch.setattr(partition, "hciz_haar_mc2", lambda *args, seed: (value * (1 + 1e-9), 0.0))
+    clause = next(r for r in check_11(RunConfig()) if "Haar" in r.clause)
+    assert not clause.passed and "inf sigma" in clause.detail, clause.detail

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 from fractions import Fraction
@@ -159,42 +160,53 @@ class TestPoleSumsComplex:
         assert got == pytest.approx(1.0, abs=1e-10)
 
 
-def _gauss_weights(a, d):
-    # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2)
-    def batch(src, m):
-        z = src.rows("standard_normal", d, m)
-        return np.exp(-a * (z * z).sum(axis=0))
+def _gauss_sampler(a, *groups):
+    # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2), here
+    # with the d normals drawn as the given groups
+    def kernel(*blocks):
+        return np.exp(-a * sum((z * z).sum(axis=0) for z in blocks))
 
-    return batch
+    return numkit.Sampler(tuple(("standard_normal", k) for k in groups), kernel)
 
 
 class TestRqmcMean:
     def test_gaussian_integral(self):
         d, a = 4, 0.3
-        mean, se = numkit.rqmc_mean(_gauss_weights(a, d), d, seed=3)
+        mean, se = numkit.rqmc_mean(_gauss_sampler(a, d), seed=3)
         assert 0.0 < se
         assert abs(mean - (1.0 + 2.0 * a) ** (-d / 2)) <= 4.0 * se
 
     def test_stderr_far_below_plain_mc(self):
         d, a = 4, 0.3
         evaluations = numkit.LATTICE_POINTS * numkit.RQMC_REPLICATES
-        _, se_qmc = numkit.rqmc_mean(_gauss_weights(a, d), d, seed=4)
-        _, se_mc = numkit.mc_mean(_gauss_weights(a, d), evaluations, seed=4)
+        _, se_qmc = numkit.rqmc_mean(_gauss_sampler(a, d), seed=4)
+        _, se_mc = numkit.mc_mean(_gauss_sampler(a, d), evaluations, seed=4)
         assert se_qmc * 50.0 <= se_mc
 
     def test_same_seed_same_output(self):
-        batch = _gauss_weights(0.7, 3)
-        assert numkit.rqmc_mean(batch, 3, seed=9) == numkit.rqmc_mean(batch, 3, seed=9)
+        sampler = _gauss_sampler(0.7, 3)
+        assert numkit.rqmc_mean(sampler, seed=9) == numkit.rqmc_mean(sampler, seed=9)
 
     @pytest.mark.parametrize("dim", [0, -1, numkit.LATTICE_MAX_DIM + 1])
     def test_dimension_out_of_range(self, dim):
         with pytest.raises(ValueError, match="lattice serves"):
-            numkit.rqmc_mean(_gauss_weights(0.3, 1), dim, seed=0)
+            numkit.rqmc_mean(_gauss_sampler(0.3, dim), seed=0)
 
-    @pytest.mark.parametrize("used", [3, 5])
-    def test_weights_must_use_exactly_dim_normals(self, used):
-        with pytest.raises(ValueError):
-            numkit.rqmc_mean(_gauss_weights(0.3, used), 4, seed=0)
+    def test_dimension_counts_every_group(self):
+        # 6 + 5 normals: each group is in range, the point is not
+        with pytest.raises(ValueError, match="got 11"):
+            numkit.rqmc_mean(_gauss_sampler(0.3, 6, 5), seed=0)
+
+    def test_non_normal_draws_rejected(self):
+        sampler = numkit.Sampler((("standard_normal", 2), ("random", 1)), lambda z, u: u[0])
+        with pytest.raises(ValueError, match="standard normals, not random"):
+            numkit.rqmc_mean(sampler, seed=0)
+
+    def test_scale(self):
+        sampler = _gauss_sampler(0.3, 2)
+        plain = numkit.rqmc_mean(sampler, seed=5)
+        scaled = numkit.rqmc_mean(dataclasses.replace(sampler, scale=-3.0), seed=5)
+        assert scaled == (-3.0 * plain[0], 3.0 * plain[1])
 
     def test_point_at_zero_gives_finite_normals(self):
         # the unshifted lattice holds the origin, where Box-Muller takes log 0
@@ -211,92 +223,106 @@ class TestRows:
     @pytest.mark.parametrize("method", ["standard_normal", "random", "standard_exponential"])
     @pytest.mark.parametrize("k, m", [(3, numkit.MC_BATCH), (8, TAIL), (1, 5)])
     def test_generator_rows_are_the_transposed_draw(self, method, k, m):
+        # the rows are a group of mc_mean's draw buffer: a band of rows, cut
+        # to the batch's first m columns
         assert self.TAIL % numkit._ROW_CHUNK
-        src = numkit._GeneratorRows(11)
+        rows = np.zeros((k + 2, numkit.MC_BATCH))[1 : k + 1, :m]
+        rng = np.random.default_rng(11)
         ref = np.random.default_rng(11)
-        got = src.rows(method, k, m)
-        assert got.shape == (k, m) and got.flags.c_contiguous
-        np.testing.assert_array_equal(got, getattr(ref, method)((m, k)).T)
-        assert src.bit_generator.state == ref.bit_generator.state
+        numkit._draw(rng, method, rows)
+        np.testing.assert_array_equal(rows, getattr(ref, method)((m, k)).T)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_generator_rows_continue_the_stream_into_out(self):
-        src = numkit._GeneratorRows(12)
+        # two groups of a batch tail, drawn in stream order into one buffer
+        sampler = numkit.Sampler((("standard_normal", 5), ("standard_normal", 3)), None)
+        first, second = sampler._split(np.empty((8, numkit.MC_BATCH))[:, : self.TAIL])
+        rng = np.random.default_rng(12)
         ref = np.random.default_rng(12)
-        first = src.rows("standard_normal", 5, self.TAIL)
-        out = np.empty((2, 3, self.TAIL))[1]  # a block of a larger buffer, as z_mc_matrix's
-        assert src.rows("standard_normal", 3, self.TAIL, out=out) is out
+        numkit._draw(rng, "standard_normal", first)
+        numkit._draw(rng, "standard_normal", second)
         np.testing.assert_array_equal(first, ref.standard_normal((self.TAIL, 5)).T)
-        np.testing.assert_array_equal(out, ref.standard_normal((self.TAIL, 3)).T)
-        assert src.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(second, ref.standard_normal((self.TAIL, 3)).T)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_lattice_serves_its_normals_rows_unchanged(self):
-        points = numkit.LATTICE_POINTS
-        normals = numkit._lattice_normals(numkit._lattice(4), np.full(4, 0.3))
-        want = normals.copy()
-        src = numkit._LatticeColumns(normals)
-        first = src.rows("standard_normal", 3, points)
-        assert np.shares_memory(first, normals)
-        np.testing.assert_array_equal(first, want[:3])
-        out = np.empty((1, points))
-        src.rows("standard_normal", 1, points, out=out)
-        np.testing.assert_array_equal(out, want[3:])
-        with pytest.raises(ValueError, match="more rows"):
-            src.rows("standard_normal", 1, points)
-        with pytest.raises(ValueError, match="standard normals"):
-            numkit._LatticeColumns(normals).rows("random", 1, points)
+        # the kernel sees each replicate's normals split by the groups
+        seen = []
+
+        def kernel(z, y):
+            seen.append((z.copy(), y.copy()))
+            return np.zeros(z.shape[1])
+
+        numkit.rqmc_mean(numkit.Sampler((("standard_normal", 3), ("standard_normal", 1)), kernel), 7)
+        shift = np.random.default_rng(7).random((numkit.RQMC_REPLICATES, 4))[0]
+        want = numkit._lattice_normals(numkit._lattice(4), shift)
+        first = seen[: numkit.LATTICE_POINTS // numkit.KERNEL_BLOCK]  # the first replicate
+        np.testing.assert_array_equal(np.concatenate([z for z, _ in first], axis=1), want[:3])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in first], axis=1), want[3:])
 
 
 class TestByBlocks:
     @pytest.mark.parametrize("past", [-1, 0, 1])
     def test_blocks_cover_each_column_once(self, past):
         m = numkit.KERNEL_BLOCK + past
-        rows = np.random.default_rng(14).standard_normal((3, m))
+        a, b = np.random.default_rng(14).standard_normal((3, m)), np.arange(m) / m
         widths = []
 
-        def kernel(block):
-            widths.append(block.shape[1])
-            return np.exp(block[0]) * block[1] - block[2] * block[2]
+        def kernel(x, y):
+            widths.append((x.shape[1], y.shape[1]))
+            return np.exp(x[0]) * x[1] - x[2] * y[0]
 
-        got = numkit.by_blocks(kernel, rows, m)
-        want = np.exp(rows[0]) * rows[1] - rows[2] * rows[2]
-        np.testing.assert_array_equal(got, want)
-        assert widths == ([m] if past <= 0 else [numkit.KERNEL_BLOCK, 1])
+        got = numkit._weigh(kernel, [a, b[None]], np.empty(m))
+        np.testing.assert_array_equal(got, np.exp(a[0]) * a[1] - a[2] * b)
+        assert widths == [(w, w) for w in ([m] if past <= 0 else [numkit.KERNEL_BLOCK, 1])]
 
 
-def _batch_weights(weights, samples, seed):
+def _batch_weights(sampler, samples, seed):
     # the weights mc_mean sees, batch by batch from the one generator
-    src = numkit._GeneratorRows(seed)
-    sizes = [min(numkit.MC_BATCH, samples - done) for done in range(0, samples, numkit.MC_BATCH)]
-    return np.concatenate([weights(src, m) for m in sizes])
+    rng = np.random.default_rng(seed)
+    out = []
+    for done in range(0, samples, numkit.MC_BATCH):
+        m = min(numkit.MC_BATCH, samples - done)
+        groups = [np.empty((k, m)) for _, k in sampler.draws]
+        for (method, _), group in zip(sampler.draws, groups):
+            numkit._draw(rng, method, group)
+        out.append(numkit._weigh(sampler.kernel, groups, np.empty(m)))
+    return np.concatenate(out)
 
 
 class TestMcMean:
     def test_stderr_keeps_digits_on_near_constant_weights(self):
         # at g = 1e-10 the weights agree to about 11 digits; E[w^2] - E[w]^2
         # cancelled to a stderr 16x too large
-        weights, scale = partition._matrix_sampler(partition.KineticSpectrum(2, (1.0, 1.1), 1e-10))
-        _, se = partition.z_mc_matrix(partition.KineticSpectrum(2, (1.0, 1.1), 1e-10), 200_000, 3)
-        w = _batch_weights(weights, 200_000, 3)
-        assert se == pytest.approx(scale * w.std() / math.sqrt(w.size), rel=0.01)
+        spec = partition.KineticSpectrum(2, (1.0, 1.1), 1e-10)
+        sampler = partition._matrix_sampler(spec)
+        _, se = partition.z_mc_matrix(spec, 200_000, 3)
+        w = _batch_weights(sampler, 200_000, 3)
+        assert se == pytest.approx(sampler.scale * w.std() / math.sqrt(w.size), rel=0.01)
 
     def test_batches_with_different_means(self):
-        # each batch shifted by its own offset: the between-batch term counts
-        def weights(rng, m):
-            return rng.random(m) + 10.0 * rng.integers(0, 3)
-
-        mean, se = numkit.mc_mean(weights, 200_000, 5)
-        w = _batch_weights(weights, 200_000, 5)
+        # lognormal weights exp(4 z): a few samples far in the tail set each
+        # batch's mean, so the between-batch term counts
+        sampler = numkit.Sampler((("standard_normal", 1),), lambda z: np.exp(4.0 * z[0]))
+        mean, se = numkit.mc_mean(sampler, 200_000, 5)
+        w = _batch_weights(sampler, 200_000, 5)
+        batch_means = [b.mean() for b in np.split(w, [numkit.MC_BATCH * j for j in (1, 2, 3)])]
+        assert max(batch_means) > 2.0 * min(batch_means)
         assert mean == pytest.approx(w.mean(), rel=1e-14)
         assert se == pytest.approx(w.std() / math.sqrt(w.size), rel=1e-12)
 
     def test_bool_weights_count_exactly(self):
-        def weights(rng, m):
-            return rng.random(m) < 0.3
-
-        mean, se = numkit.mc_mean(weights, 100_000, 2)
-        hits = int(_batch_weights(weights, 100_000, 2).sum())
+        sampler = numkit.Sampler((("random", 1),), lambda u: u[0] < 0.3)
+        mean, se = numkit.mc_mean(sampler, 100_000, 2)
+        hits = int(_batch_weights(sampler, 100_000, 2).sum())
         assert mean == hits / 100_000
         assert se == pytest.approx(math.sqrt(mean * (1.0 - mean) / 100_000), rel=1e-12)
+
+    def test_scale(self):
+        sampler = numkit.Sampler((("random", 2),), lambda u: u[0] * u[1])
+        plain = numkit.mc_mean(sampler, 70_000, 6)
+        scaled = numkit.mc_mean(dataclasses.replace(sampler, scale=-3.0), 70_000, 6)
+        assert scaled == (-3.0 * plain[0], 3.0 * plain[1])
 
 
 class TestTrapezoid:

@@ -279,10 +279,10 @@ def test_eigen_mc_seeded_outputs_pinned(key):
     assert se == pytest.approx(want_se, rel=1e-12)
 
 
-# Kernel blocks: numkit.by_blocks weighs each batch KERNEL_BLOCK columns at
-# a time, and every sampler returns the same bits as with one block per
-# batch.  The sample counts fall below, just short of and just past one
-# block, and past one batch.
+# Kernel blocks: numkit.mc_mean and rqmc_mean weigh each batch
+# KERNEL_BLOCK columns at a time, and every sampler returns the same bits
+# as with one block per batch.  The sample counts fall below, just short
+# of and just past one block, and past one batch.
 BLOCK_SAMPLES = [1000, numkit.KERNEL_BLOCK - 1, numkit.KERNEL_BLOCK + 1, 70_000]
 
 
@@ -331,14 +331,18 @@ def test_eigen_weights_with_a_pole_past_the_first_block(monkeypatch):
     assert near.any(axis=0).nonzero()[0].tolist() == [9000]
     assert numkit.KERNEL_BLOCK <= 9000 < 2 * numkit.KERNEL_BLOCK
 
-    class Rows:
-        def rows(self, method, k, m):
-            return lam.copy()  # the weights scale their rows in place
-
-    weights, _ = partition._eigen_sampler(spec)
-    blocked, whole = _blocked_and_whole(monkeypatch, lambda: weights(Rows(), m))
+    kernel = partition._eigen_sampler(spec).kernel
+    # a copy each time: the kernel scales its rows in place
+    blocked, whole = _blocked_and_whole(
+        monkeypatch, lambda: numkit._weigh(kernel, [lam.copy()], np.empty(m)))
     assert np.isfinite(blocked).all() and blocked[9000] != 0.0
     np.testing.assert_array_equal(blocked, whole)
+
+
+def test_haar_mc_same_bits_in_one_block(monkeypatch):
+    blocked, whole = _blocked_and_whole(
+        monkeypatch, lambda: hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, 70_000, 57))
+    assert blocked == whole
 
 
 def test_haar_mc_seeded_output_pinned():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmm import numkit
 from qmm.polytope import (
     DiagonalSpec,
     applicability_margin,
@@ -270,3 +271,14 @@ def test_volume_mc_seeded_outputs_pinned(key):
     want_mean, want_se = VOLUME_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert se == pytest.approx(want_se, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(VOLUME_MC_PINS))
+def test_volume_mc_same_bits_in_one_block(monkeypatch, key):
+    # numkit.mc_mean weighs KERNEL_BLOCK columns at a time; the kernels work
+    # column by column, so one block per batch gives the same bits
+    name, h, samples, seed = key
+    sampler = {"mc_volume": mc_volume, "mc_volume_peel": mc_volume_peel}[name]
+    blocked = sampler(DiagonalSpec(len(h), h), samples, seed)
+    monkeypatch.setattr(numkit, "KERNEL_BLOCK", numkit.MC_BATCH)
+    assert sampler(DiagonalSpec(len(h), h), samples, seed) == blocked
