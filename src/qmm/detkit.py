@@ -178,7 +178,8 @@ def det_rows(rows):
     """Determinant of a square matrix given as rows of entries of one field.
 
     Entries are Fractions (exact result), mpmath numbers (at the caller's
-    working precision), float or complex scalars, or finite arrays of one
+    working precision), float or complex scalars, or arrays (float or
+    complex, Python scalars allowed among them) that broadcast to one
     leading shape: rows[k][l] then holds entry (k, l) at every point of
     that shape (0-d for one matrix) and the result has that shape.
     Gaussian elimination with partial pivoting runs elementwise over the
@@ -188,14 +189,37 @@ def det_rows(rows):
     pivot cannot overflow, and a zero pivot (a singular point) gives det 0
     without dividing by it.  The lists in rows are the work space: their
     entries are replaced by the elimination's own values, which it
-    updates in place; the arrays passed in are only read.  A pivot swap
-    exchanges two row lists when no entry is an array; with any array
-    entry (0-d included) it blends the two rows by weights 0 and 1 at
-    every point, so each swapped entry is a new array and no in-place
-    update reaches the caller's.
+    updates in place.  A pivot swap exchanges two row lists when no entry
+    is an array.  With any array entry (0-d included) every entry is
+    first replaced, one at a time, by a float64 or complex128 copy of the
+    leading shape, so the arrays passed in are only read, and a swap
+    exchanges the two rows' bit patterns in place at the points where it
+    holds: d = (a ^ b) & mask; a ^= d; b ^= d on 64-bit word views, which
+    moves every value exactly.  Array entries of any other common type
+    (object or long double, say) raise ValueError.
     """
     n = len(rows)
     arrays = any(isinstance(v, np.ndarray) for row in rows for v in row)
+    if arrays:
+        # a list, not a generator: unpacking a generator of np.shape calls
+        # here grew small-object memory by 250 KB over 3,000 calls
+        # (numpy 2.4, CPython 3.11), which raised the mc benchmark's peak RSS
+        shape = np.broadcast_shapes(*[np.shape(v) for row in rows for v in row])
+        dtype = np.result_type(np.float64, *{np.result_type(v) for row in rows for v in row})
+        if dtype not in (np.float64, np.complex128):
+            raise ValueError(f"det_rows takes float or complex arrays, not {dtype}")
+        pairs = dtype == np.complex128  # two words per point: real, imaginary
+        words = np.dtype((np.uint64, (2,))) if pairs else np.uint64
+        # entry by entry, and no name keeps an original, so each one is
+        # released as its copy replaces it
+        bits = []
+        for row in rows:
+            for l in range(n):
+                copy = np.empty(shape, dtype)
+                copy[...] = row[l]
+                row[l] = copy
+            bits.append([v.view(words) for v in row])
+        diff = np.empty_like(bits[0][0])
     det = 1
     flip = False
     for c in range(n):
@@ -206,13 +230,14 @@ def det_rows(rows):
                 if swap:
                     rows[c], rows[r] = rows[r], rows[c]
                 continue
-            keep = np.logical_not(swap)
-            # blending finite entries by weights 0 and 1 is exact, and cheaper
-            # than np.where's per-element branch on a mask that is half set
-            for l in range(c, n):
-                a, b = rows[c][l], rows[r][l]
-                rows[c][l] = a * keep + b * swap
-                rows[r][l] = b * keep + a * swap
+            mask = np.subtract(0, swap, dtype=np.uint64)  # all ones where swap
+            if pairs:
+                mask = mask[..., None]
+            for a, b in zip(bits[c][c:], bits[r][c:]):
+                np.bitwise_xor(a, b, out=diff)
+                diff &= mask
+                a ^= diff
+                b ^= diff
         piv = rows[c][c]
         det = det * piv
         piv = piv + (piv == 0)  # zero only over a zero column

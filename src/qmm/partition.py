@@ -158,7 +158,7 @@ def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
     de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
-    scale = reduce(np.maximum, map(np.abs, cols), 1.0)
+    tol = _COLLISION_RTOL * reduce(np.maximum, map(np.abs, cols), 1.0)
     # the kernel transposed, one row per eigenvalue: row l is exp(-e_k lam_l^2)
     mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
@@ -166,7 +166,7 @@ def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
         hit = None
         for m in range(nn):
             s = cols[m] + cols[nn]
-            pole = np.abs(s) < _COLLISION_RTOL * scale
+            pole = np.abs(s) < tol
             if pole.any():  # the where terms only where a pole fires
                 s = np.where(pole, 1.0, s)
                 hit = pole if hit is None else hit | pole
@@ -290,13 +290,15 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
             if products(part, [(b[i, k], b[k, j]) for k in range(n) if k != i and k != j]):
                 p -= part
             p *= p
-            # Q = 0 at n = 1, the only size where these sums are empty
-            if products(q, [(a[i, k], b[k, j]) for k in range(n) if k != j]):
+            # Q_ii is exactly 0: term k of its second sum, b_ik a_ki, is the
+            # negated term k of its first, a_ik b_ki, so the sums cancel bit
+            # for bit and adding Q_ii^2 = +0 would leave p unchanged
+            if i != j:
+                products(q, [(a[i, k], b[k, j]) for k in range(n) if k != j])
                 products(part, [(b[i, k], a[k, j]) for k in range(n) if k != i])
                 q += part
                 q *= q
                 p += q
-            if i != j:
                 p *= 2.0
             tr += p
     return tr
@@ -369,12 +371,13 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
 
     def kernel(u):
         p = 1.0 - u[0]
+        q = 1.0 - p
         return np.exp(
             t
             * (
                 x[0] * y[0] * p
-                + x[0] * y[1] * (1.0 - p)
-                + x[1] * y[0] * (1.0 - p)
+                + x[0] * y[1] * q
+                + x[1] * y[0] * q
                 + x[1] * y[1] * p
             )
         )

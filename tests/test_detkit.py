@@ -155,6 +155,52 @@ def _rows(a):
     return [[a[..., k, l] for l in range(n)] for k in range(n)]
 
 
+def _blend_det(rows):
+    """The elimination as det_rows ran it with 0/1 blend swaps, as a reference.
+
+    Same pivots and arithmetic, but a swap rebuilds both rows as
+    a * keep + b * swap, which moves finite values exactly except that it
+    may turn -0.0 into +0.0.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = 1
+    flip = False
+    for c in range(n):
+        for r in range(c + 1, n):
+            swap = abs(rows[r][c]) > abs(rows[c][c])
+            flip = flip ^ swap
+            keep = np.logical_not(swap)
+            for l in range(c, n):
+                a, b = rows[c][l], rows[r][l]
+                rows[c][l] = a * keep + b * swap
+                rows[r][l] = b * keep + a * swap
+        piv = rows[c][c]
+        det = det * piv
+        piv = piv + (piv == 0)
+        for r in range(c + 1, n):
+            rows[r][c] = rows[r][c] / piv
+            for l in range(c + 1, n):
+                rows[r][l] = rows[r][l] - rows[r][c] * rows[c][l]
+    return np.where(flip, -det, det)[()]
+
+
+def _bit_batches(n):
+    """Seeded (m, n, n) float batches that exercise every kind of swap."""
+    rng = np.random.default_rng(100 + n)
+    plain = rng.normal(size=(300, n, n))
+    zero_col = rng.normal(size=(50, n, n))
+    zero_col[:, :, n // 2] = 0.0
+    equal_cols = rng.normal(size=(50, n, n))
+    equal_cols[:, :, -1] = equal_cols[:, :, 0]
+    perms = np.zeros((50, n, n))
+    for i in range(50):
+        perms[i, range(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+    neg_zero = rng.normal(size=(50, n, n))
+    neg_zero[:, n - 1, 0] = -0.0
+    return np.concatenate([plain, zero_col, equal_cols, perms, neg_zero])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDetRows:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -240,6 +286,40 @@ class TestDetRows:
         batch = det_rows(_rows(a))
         for m, want in zip(a, batch):
             assert det_rows(m.tolist()) == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_bit_swaps_equal_the_blend_elimination(self, n):
+        a = _bit_batches(n)
+        got = det_rows(_rows(a))
+        want = _blend_det(_rows(a))
+        np.testing.assert_array_equal(got, want)
+        # bit for bit wherever the result is nonzero; the blend may flip the
+        # sign of a zero
+        nonzero = want != 0.0
+        assert nonzero.sum() > 300
+        np.testing.assert_array_equal(got[nonzero].view(np.uint64), want[nonzero].view(np.uint64))
+
+    def test_entries_broadcast_with_python_floats(self):
+        col = np.array([1.0, 2.0, 3.0])
+        rows = [[col, 2.0], [np.array([[1.0], [-1.0]]), 0.5]]
+        got = det_rows(rows)
+        want = [[det_rows([[c, 2.0], [s, 0.5]]) for c in col] for s in (1.0, -1.0)]
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(col, [1.0, 2.0, 3.0])
+
+    def test_complex_arrays_swap_both_words(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        batch = det_rows(_rows(a))
+        assert batch.dtype == np.complex128
+        np.testing.assert_allclose(batch, np.linalg.det(a), rtol=1e-10, atol=1e-13)
+        np.testing.assert_array_equal(batch, [det_rows(_rows(m)) for m in a])
+
+    def test_other_array_dtypes_raise(self):
+        rows = [[np.array([Fraction(1)], dtype=object), 1.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="object"):
+            det_rows(rows)
 
 
 class TestClosedFormDets:

@@ -241,6 +241,53 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     assert se == pytest.approx(want_se, rel=1e-12)
 
 
+def _trace_x4_with_diagonal_q(n, diag, re, im):
+    """Tr X^4 as _trace_x4 sums it, but with Q_ii summed too (a reference)."""
+    a = {(i, i): (1, diag[i]) for i in range(n)}
+    b = {}
+    for idx, (k, l) in enumerate(combinations(range(n), 2)):
+        a[k, l] = a[l, k] = (1, re[idx])
+        b[k, l] = (1, im[idx])
+        b[l, k] = (-1, im[idx])
+
+    def products(pairs):
+        out = None
+        for (sx, x), (sy, y) in pairs:
+            term = x * y
+            if out is None:
+                out = term if sx * sy > 0 else -term
+            else:
+                out = out + term if sx * sy > 0 else out - term
+        return out
+
+    tr = np.zeros(diag.shape[1])
+    for i in range(n):
+        for j in range(i, n):
+            p = products([(a[i, k], a[k, j]) for k in range(n)])
+            part = products([(b[i, k], b[k, j]) for k in range(n) if k != i and k != j])
+            if part is not None:
+                p = p - part
+            p = p * p
+            q = products([(a[i, k], b[k, j]) for k in range(n) if k != j])
+            if q is not None:
+                q = q + products([(b[i, k], a[k, j]) for k in range(n) if k != i])
+                p = p + q * q
+            tr += p if i == j else 2.0 * p
+    return tr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_x4_bits_equal_the_sum_with_diagonal_q(n):
+    # rows as long as the second batch of a 70k-sample run
+    m = 70_000 - numkit.MC_BATCH
+    rng = np.random.default_rng(60 + n)
+    p = n * (n - 1) // 2
+    diag, re, im = (rng.standard_normal((k, m)) for k in (n, p, p))
+    got = partition._trace_x4(n, diag, re, im)
+    want = _trace_x4_with_diagonal_q(n, diag, re, im)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trace_x4_is_the_squared_frobenius_norm_of_x_squared(n):
     # oracle: ||X^2||_F^2 = Tr X^4 from the dense complex Hermitian X
@@ -277,6 +324,25 @@ def test_eigen_mc_seeded_outputs_pinned(key):
     want_mean, want_se = EIGEN_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12)
     assert se == pytest.approx(want_se, rel=1e-12)
+
+
+# The same runs as in MATRIX_MC_PINS and EIGEN_MC_PINS at N = 3 and 4 (two
+# batches each), pinned to the bit: the kernels' swaps and skipped sums
+# move no value, so any change here is a change of arithmetic
+EXACT_MC_PINS = {
+    ("matrix", 3, 131): (6.318085455164278, 0.014405381483261363),
+    ("matrix", 4, 141): (9.605922183542358, 0.035549016175677496),
+    ("eigen", 3, 31): (6.299947086537429, 0.059841802108346914),
+    ("eigen", 4, 41): (9.717598292770539, 0.20812969118371547),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_MC_PINS))
+def test_partition_mc_outputs_pinned_exactly(key):
+    kind, n, seed = key
+    spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], 0.1)
+    sampler = z_mc_matrix if kind == "matrix" else z_mc_eigen
+    assert sampler(spec, 70_000, seed) == EXACT_MC_PINS[key]
 
 
 # Kernel blocks: numkit.mc_mean and rqmc_mean weigh each batch
