@@ -14,6 +14,8 @@ from .counting import DEFAULT_STATE_CAP
 
 ENV_PREFIX = "QMM_"
 OUTPUT_FORMATS = ("text", "json", "csv")
+#: the integer fields and the least value each may take
+_MINIMUM = {"seed": 0, "mc_samples": 1, "state_cap": 1}
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class RunConfig:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
-        for key, low in (("seed", 0), ("mc_samples", 1), ("state_cap", 1)):
+        for key, low in _MINIMUM.items():
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.output_format not in OUTPUT_FORMATS:
@@ -38,13 +40,10 @@ class RunConfig:
         return replace(self, **clean)
 
 
-_INT_KEYS = {"seed", "mc_samples", "state_cap"}
-
-
 def _coerce(key: str, value: str):
     if key not in RunConfig.__dataclass_fields__:
         raise ValueError(f"unknown config key {key!r}")
-    if key in _INT_KEYS:
+    if key in _MINIMUM:
         try:
             return int(float(value))
         except (ValueError, OverflowError):

@@ -178,9 +178,9 @@ def det_rows(rows):
     """Determinant of a square matrix given as rows of entries of one field.
 
     Entries are Fractions (exact result), mpmath numbers (at the caller's
-    working precision), float or complex scalars, or arrays (float or
-    complex, Python scalars allowed among them) that broadcast to one
-    leading shape: rows[k][l] then holds entry (k, l) at every point of
+    working precision), float or complex scalars, or float arrays (Python
+    and numpy scalars allowed among them) that broadcast to one leading
+    shape: rows[k][l] then holds entry (k, l) at every point of
     that shape (0-d for one matrix) and the result has that shape.
     Gaussian elimination with partial pivoting runs elementwise over the
     leading shape, so a batch of small matrices costs O(n^3) array
@@ -191,12 +191,12 @@ def det_rows(rows):
     entries are replaced by the elimination's own values, which it
     updates in place.  A pivot swap exchanges two row lists when no entry
     is an array.  With any array entry (0-d included) every entry is
-    first replaced, one at a time, by a float64 or complex128 copy of the
-    leading shape, so the arrays passed in are only read, and a swap
-    exchanges the two rows' bit patterns in place at the points where it
-    holds: d = (a ^ b) & mask; a ^= d; b ^= d on 64-bit word views, which
-    moves every value exactly.  Array entries of any other common type
-    (object or long double, say) raise ValueError.
+    first replaced, one at a time, by a float64 copy of the leading
+    shape, so the arrays passed in are only read, and a swap exchanges
+    the two rows' bit patterns in place at the points where it holds:
+    d = (a ^ b) & mask; a ^= d; b ^= d on uint64 views, which moves every
+    value exactly.  Array entries of any other common type (complex,
+    object or long double, say) raise ValueError.
     """
     n = len(rows)
     arrays = any(isinstance(v, np.ndarray) for row in rows for v in row)
@@ -206,19 +206,17 @@ def det_rows(rows):
         # (numpy 2.4, CPython 3.11), which raised the mc benchmark's peak RSS
         shape = np.broadcast_shapes(*[np.shape(v) for row in rows for v in row])
         dtype = np.result_type(np.float64, *{np.result_type(v) for row in rows for v in row})
-        if dtype not in (np.float64, np.complex128):
-            raise ValueError(f"det_rows takes float or complex arrays, not {dtype}")
-        pairs = dtype == np.complex128  # two words per point: real, imaginary
-        words = np.dtype((np.uint64, (2,))) if pairs else np.uint64
+        if dtype != np.float64:
+            raise ValueError(f"det_rows takes float arrays, not {dtype}")
         # entry by entry, and no name keeps an original, so each one is
         # released as its copy replaces it
         bits = []
         for row in rows:
             for l in range(n):
-                copy = np.empty(shape, dtype)
+                copy = np.empty(shape)
                 copy[...] = row[l]
                 row[l] = copy
-            bits.append([v.view(words) for v in row])
+            bits.append([v.view(np.uint64) for v in row])
         diff = np.empty_like(bits[0][0])
     det = 1
     flip = False
@@ -231,8 +229,6 @@ def det_rows(rows):
                     rows[c], rows[r] = rows[r], rows[c]
                 continue
             mask = np.subtract(0, swap, dtype=np.uint64)  # all ones where swap
-            if pairs:
-                mask = mask[..., None]
             for a, b in zip(bits[c][c:], bits[r][c:]):
                 np.bitwise_xor(a, b, out=diff)
                 diff &= mask

@@ -109,7 +109,7 @@ def _weigh(kernel, groups, out: np.ndarray) -> np.ndarray:
     """out = kernel(*groups) over the groups' columns, KERNEL_BLOCK columns at a time."""
     for start in range(0, len(out), KERNEL_BLOCK):
         cols = slice(start, start + KERNEL_BLOCK)
-        out[cols] = kernel(*(g[:, cols] for g in groups))
+        out[cols] = kernel(*[g[:, cols] for g in groups])
     return out
 
 
@@ -292,10 +292,7 @@ def taylor_truncation_bound(gamma: float, n: int) -> float:
     if gamma == 0:
         return 0.0
     ln = 0.5 * math.log(gamma * n / (2 * math.pi)) + n * (math.log(gamma) + 1.0 + gamma)
-    try:
-        return math.exp(ln)
-    except OverflowError:
-        return float("inf")
+    return LogValue(ln).value
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,13 @@ class OrthoTable:
     norms with h[0] = rho_0.
     """
 
-    degree: int
     alpha: tuple[float, ...]
     r: tuple[float, ...]
     h: tuple[float, ...]
 
     def polynomial_coeffs(self, m: int) -> np.ndarray:
-        """Monomial coefficients of P_m, ascending order."""
-        if m > self.degree:
+        """Monomial coefficients of P_m, ascending order, for m < len(r)."""
+        if m >= len(self.r):
             raise ValueError("table too short")
         p_prev = np.array([1.0])
         if m == 0:
@@ -56,25 +55,19 @@ class OrthoTable:
         return p
 
 
-@dataclass(frozen=True)
-class MomentSeq:
-    """Raw moments rho_0 .. rho_{2n} of a weight / moment functional."""
-
-    rho: tuple
-
-    def hankel_det(self, k: int):
-        """det(rho_{i+j})_{i,j=0..k}; exact for integer/Fraction moments."""
-        if 2 * k >= len(self.rho):
-            raise ValueError("not enough moments")
-        return _square_det([[self.rho[i + j] for j in range(k + 1)] for i in range(k + 1)])
+def hankel_det(rho, k: int):
+    """det(rho_{i+j})_{i,j=0..k} of the moments rho; exact for integer/Fraction moments."""
+    if 2 * k >= len(rho):
+        raise ValueError("not enough moments")
+    return _square_det([[rho[i + j] for j in range(k + 1)] for i in range(k + 1)])
 
 
 class QuasiDefiniteError(Exception):
     """Raised when a Hankel determinant vanishes."""
 
 
-def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
-    """Monic orthogonal family from moments by Chebyshev's algorithm.
+def ops_from_moments(rho, n: int) -> OrthoTable:
+    """Monic orthogonal family from the moments rho_0 .. rho_{2n} by Chebyshev's algorithm.
 
     With L the moment functional, sigma_{m,l} = L(x^l P_m) starts from the
     moment row sigma_{0,l} = rho_l and follows sigma_{m,l} = sigma_{m-1,l+1}
@@ -85,9 +78,9 @@ def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
     through), so the table is exact for rational moments and carries the
     working precision for mpmath ones; it is rounded to float on return.
     """
-    if len(moments.rho) < 2 * n + 1:
+    if len(rho) < 2 * n + 1:
         raise ValueError("need moments rho_0 .. rho_{2n}")
-    row = [Fraction(x) if isinstance(x, int) else x for x in moments.rho[: 2 * n + 1]]
+    row = [Fraction(x) if isinstance(x, int) else x for x in rho[: 2 * n + 1]]
     # at step m: row = sigma_{m,.}, older = sigma_{m-1,.}, shift = sigma_{m-1,m} / h_{m-1}
     older = [0] * len(row)
     alpha, r, h = [0], [0], [row[0]]
@@ -105,24 +98,22 @@ def ops_from_moments(moments: MomentSeq, n: int) -> OrthoTable:
         h.append(row[m + 1])
         r.append(h[m + 1] / h[m])
     return OrthoTable(
-        degree=n,
         alpha=tuple(float(a) for a in alpha),
         r=tuple(float(x) for x in r),
         h=tuple(float(x) for x in h),
     )
 
 
-def polynomial_from_moments(moments: MomentSeq, n: int):
-    """Coefficients of P_n from the bordered Hankel determinant (ascending).
+def polynomial_from_moments(rho, n: int):
+    """Coefficients of P_n from the moments' bordered Hankel determinant (ascending).
 
     The moment-determinant route, independent of the recursion; used as
     the uniqueness cross-check.  Exact if the moments are integers or
     Fractions.
     """
-    rho = moments.rho
     if len(rho) < 2 * n:
         raise ValueError("need moments rho_0 .. rho_{2n-1}")
-    d_prev = moments.hankel_det(n - 1)
+    d_prev = hankel_det(rho, n - 1)
     minors = [
         [[rho[i + k] for k in range(n + 1) if k != j] for i in range(n)] for j in range(n + 1)
     ]
@@ -178,7 +169,6 @@ def quartic_r_sequence(n_max: int) -> OrthoTable:
                 else:
                     raise ArithmeticError(f"R_{m} left the bracketing band")
         return OrthoTable(
-            degree=n_max,
             alpha=tuple(0.0 for _ in range(n_max + 1)),
             r=tuple(float(x) for x in r),
             h=tuple(float(x) for x in h),
@@ -196,8 +186,8 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     table = quartic_r_sequence(2 * n)
     with mp.workdps(max(30, 10 * n)):
-        gammas = MomentSeq(tuple(mp.gamma(mp.mpf(2 * j + 1) / 4) for j in range(2 * n - 1)))
-        direct = float(gammas.hankel_det(n - 1))
+        gammas = [mp.gamma(mp.mpf(2 * j + 1) / 4) for j in range(2 * n - 1)]
+        direct = float(hankel_det(gammas, n - 1))
     via_norms = float(2**n * np.prod([table.h[2 * t] for t in range(n)]))
     return direct, via_norms
 

@@ -308,17 +308,18 @@ class TestDetRows:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(col, [1.0, 2.0, 3.0])
 
-    def test_complex_arrays_swap_both_words(self):
+    def test_complex_scalars_against_lapack(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
-        batch = det_rows(_rows(a))
-        assert batch.dtype == np.complex128
-        np.testing.assert_allclose(batch, np.linalg.det(a), rtol=1e-10, atol=1e-13)
-        np.testing.assert_array_equal(batch, [det_rows(_rows(m)) for m in a])
+        got = [det_rows(m.tolist()) for m in a]
+        assert all(np.ndim(d) == 0 and np.iscomplexobj(d) for d in got)
+        np.testing.assert_allclose(got, np.linalg.det(a), rtol=1e-10, atol=1e-13)
 
-    def test_other_array_dtypes_raise(self):
-        rows = [[np.array([Fraction(1)], dtype=object), 1.0], [0.0, 1.0]]
-        with pytest.raises(ValueError, match="object"):
+    @pytest.mark.parametrize("entry", [np.array([Fraction(1)], dtype=object),
+                                       np.array([1.0 + 2.0j])], ids=["object", "complex128"])
+    def test_other_array_dtypes_raise(self, entry):
+        rows = [[entry, 1.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match=str(entry.dtype)):
             det_rows(rows)
 
 

@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from qmm.orthopoly import (
-    MomentSeq,
     QuasiDefiniteError,
     gamma_quarter_det,
+    hankel_det,
     ops_from_moments,
     polynomial_from_moments,
     quartic_moment,
@@ -60,7 +60,7 @@ def gaussian_moments(n, root_two_pi=math.sqrt(2 * math.pi), zero=0.0):
             rho.append(zero)
         else:
             rho.append(root_two_pi * math.prod(range(k - 1, 0, -2)))
-    return MomentSeq(tuple(rho))
+    return tuple(rho)
 
 
 class TestMomentConstruction:
@@ -73,47 +73,52 @@ class TestMomentConstruction:
             assert table.r[m] == pytest.approx(float(m), rel=1e-10)
 
     def test_uniform_weight_norms(self):
-        rho = MomentSeq(tuple(Fraction(1, k + 1) for k in range(9)))
+        rho = tuple(Fraction(1, k + 1) for k in range(9))
         table = ops_from_moments(rho, 4)
         assert table.alpha[1] == pytest.approx(0.5)
         assert table.h[1] == pytest.approx(1.0 / 12.0)
 
     def test_degree_zero(self):
-        table = ops_from_moments(MomentSeq((2.0,)), 0)
+        table = ops_from_moments((2.0,), 0)
         assert table.h[0] == 2.0
         assert np.allclose(table.polynomial_coeffs(0), [1.0])
+
+    def test_polynomial_coeffs_past_the_table_raise(self):
+        table = ops_from_moments(gaussian_moments(3), 3)
+        assert len(table.polynomial_coeffs(len(table.r) - 1)) == len(table.r)
+        with pytest.raises(ValueError, match="table too short"):
+            table.polynomial_coeffs(len(table.r))
 
     def test_quasi_definite_error(self):
         # rho_0 = 0 kills h_0
         with pytest.raises(QuasiDefiniteError):
-            ops_from_moments(MomentSeq((0, 1, 2)), 1)
+            ops_from_moments((0, 1, 2), 1)
 
     def test_hankel_determinants_positive_for_gaussian(self):
-        mom = gaussian_moments(4)
+        rho = gaussian_moments(4)
         for k in range(4):
-            assert mom.hankel_det(k) > 0
+            assert hankel_det(rho, k) > 0
 
     def test_uniqueness_two_routes_quartic(self):
         # moment-determinant construction vs recursion, quartic weight
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
-        mom = MomentSeq(rho)
-        table = ops_from_moments(mom, 6)
+        table = ops_from_moments(rho, 6)
         for n in range(1, 7):
-            a = polynomial_from_moments(mom, n)
+            a = polynomial_from_moments(rho, n)
             b = table.polynomial_coeffs(n)
             assert np.allclose(a, b, atol=1e-9)
 
     def test_bordered_hankel_exact_on_rational_moments(self):
         # moments 1/(k+1) of [0, 1]: the monic shifted Legendre polynomials
-        mom = MomentSeq(tuple(Fraction(1, k + 1) for k in range(7)))
-        assert list(polynomial_from_moments(mom, 2)) == [Fraction(1, 6), -1, 1]
-        assert list(polynomial_from_moments(mom, 3)) == [
+        rho = tuple(Fraction(1, k + 1) for k in range(7))
+        assert list(polynomial_from_moments(rho, 2)) == [Fraction(1, 6), -1, 1]
+        assert list(polynomial_from_moments(rho, 3)) == [
             Fraction(-1, 20), Fraction(3, 5), Fraction(-3, 2), 1]
-        assert all(type(c) is Fraction for c in polynomial_from_moments(mom, 3))
+        assert all(type(c) is Fraction for c in polynomial_from_moments(rho, 3))
 
     def test_quartic_moment_table_pinned(self):
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
-        table = ops_from_moments(MomentSeq(rho), 6)
+        table = ops_from_moments(rho, 6)
         assert table.r[1:] == pytest.approx(QUARTIC_R_PIN, rel=1e-12)
         assert table.h == pytest.approx(QUARTIC_H_PIN, rel=1e-12)
 
@@ -126,7 +131,7 @@ class TestMomentConstruction:
 
     def test_rational_moments_exact_table(self):
         # moments 1/(k+1) of [0, 1]: shifted Legendre, every entry exact
-        table = ops_from_moments(MomentSeq(tuple(Fraction(1, k + 1) for k in range(17))), 8)
+        table = ops_from_moments(tuple(Fraction(1, k + 1) for k in range(17)), 8)
         f = math.factorial
         assert table.alpha == (0.0,) + (0.5,) * 8
         assert table.r == (0.0,) + tuple(
@@ -137,13 +142,13 @@ class TestMomentConstruction:
     def test_mpmath_moments_keep_working_precision(self):
         # 50-digit moments: the recursion runs in mpmath, not in float
         with mp.workdps(50):
-            mom = gaussian_moments(20, mp.sqrt(2 * mp.pi), mp.mpf(0))
-            table = ops_from_moments(mom, 20)
+            rho = gaussian_moments(20, mp.sqrt(2 * mp.pi), mp.mpf(0))
+            table = ops_from_moments(rho, 20)
         assert table.r[1:] == pytest.approx(list(range(1, 21)), rel=1e-14)
 
     def test_even_weight_alphas_vanish(self):
         rho = tuple(quartic_moment(k // 2) if k % 2 == 0 else 0.0 for k in range(13))
-        table = ops_from_moments(MomentSeq(rho), 6)
+        table = ops_from_moments(rho, 6)
         assert np.allclose(table.alpha[1:], 0.0, atol=1e-12)
 
 
