@@ -43,12 +43,19 @@ class RunConfig:
 def _coerce(key: str, value: str):
     if key not in RunConfig.__dataclass_fields__:
         raise ValueError(f"unknown config key {key!r}")
-    if key in _MINIMUM:
-        try:
-            return int(float(value))
-        except (ValueError, OverflowError):
-            raise ValueError(f"{key} must be an integer, got {value!r}") from None
-    return value
+    if key not in _MINIMUM:
+        return value
+    try:
+        return int(value)  # exact at any size
+    except ValueError:
+        pass
+    try:
+        number = float(value)  # so 1e5 reads as 100000; a fraction is an error
+        if number.is_integer():
+            return int(number)
+    except ValueError:
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def load_config(path: str | None = None, environ=None) -> RunConfig:

@@ -267,16 +267,9 @@ def trapezoid(f, h: float, lim: float, dim: int = 1) -> tuple[float, float]:
 # the truncation bound
 
 
-def lambert_w(x: float) -> float:
-    """Principal branch of w e^w = x for x >= 0."""
-    if x < 0:
-        raise ValueError("lambert_w implemented for x >= 0 only")
-    return float(mp.lambertw(x))
-
-
 #: gamma threshold below which the n-term Taylor truncation of exp(-gamma n)
 #: improves with n; W_L(1/e) ~ 0.2785.
-TRUNCATION_GAMMA_STAR = lambert_w(math.exp(-1.0))
+TRUNCATION_GAMMA_STAR = float(mp.lambertw(math.exp(-1.0)))
 
 
 def taylor_truncation_bound(gamma: float, n: int) -> float:

@@ -48,15 +48,8 @@ class DiagonalSpec:
         return tuple(1.0 - hj for hj in self.h)
 
 
-def exact_volume_n3(spec: DiagonalSpec) -> float:
-    """Indicator of the point polytope at N=3: 1 iff all s_j >= 0."""
-    if spec.n != 3:
-        raise ValueError("exact_volume_n3 requires n = 3")
-    return float(_exact_volume_n3_rowsum(spec.u))
-
-
 def _exact_volume_n3_rowsum(u) -> np.ndarray:
-    """N=3 indicator of each row-sum vector along the last axis of u."""
+    """N=3 indicator (1 iff all s_j >= 0) of each row-sum vector along the last axis of u."""
     u1, u2, u3 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
     half = (u1 + u2 + u3) / 2.0
     return np.where((half - u1 >= 0.0) & (half - u2 >= 0.0) & (half - u3 >= 0.0), 1.0, 0.0)
@@ -194,7 +187,7 @@ def mc_volume_peel(
 def exact_volume(spec: DiagonalSpec) -> float | None:
     """The closed-form volume: the N=3 indicator, the N=4 formula, None above."""
     if spec.n == 3:
-        return exact_volume_n3(spec)
+        return float(_exact_volume_n3_rowsum(spec.u))
     if spec.n == 4:
         return exact_volume_n4(spec)
     return None

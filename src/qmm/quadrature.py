@@ -337,9 +337,7 @@ def pearcey_saddle(a: float, b: float, k: int = 0) -> complex | None:
     if pearcey_region(a, b).region != "one-contour":
         return None
     with mp.workdps(40 + 2 * max(0, math.ceil(math.log10(b)))):
-        if k == 0:
-            val = _middle_saddle_value(mp.mpf(a), mp.mpf(b))
-        else:
-            step = mp.ldexp(max(1, mp.sqrt(b)), -mp.mp.prec - 10)
-            val = mp.diff(lambda t: _middle_saddle_value(t, mp.mpf(b)), mp.mpf(a), k, h=step)
+        # mp.diff at k = 0 is the function value itself
+        step = mp.ldexp(max(1, mp.sqrt(b)), -mp.mp.prec - 10)
+        val = mp.diff(lambda t: _middle_saddle_value(t, mp.mpf(b)), mp.mpf(a), k, h=step)
         return (1j) ** k * complex(val)

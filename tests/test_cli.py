@@ -30,6 +30,11 @@ class TestConfig:
         assert cfg.seed == 7 and cfg.mc_samples == 5000
         cfg = load_config(str(path), environ={"QMM_SEED": "9"})
         assert cfg.seed == 9 and cfg.mc_samples == 5000
+        # an integral value in float notation reads as that integer, and a
+        # long integer is read exactly, not through a float
+        env = {"QMM_MC_SAMPLES": "1e5", "QMM_STATE_CAP": "0.5e1", "QMM_SEED": str(2**64 + 1)}
+        cfg = load_config(str(path), environ=env)
+        assert (cfg.mc_samples, cfg.state_cap, cfg.seed) == (100_000, 5, 2**64 + 1)
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -157,8 +162,10 @@ class TestCli:
     @pytest.mark.parametrize("env,flags", [({"QMM_STATE_CAP": "0"}, []),
                                            ({"QMM_SEED": "-1"}, []),
                                            ({"QMM_MC_SAMPLES": "0"}, []),
+                                           ({"QMM_STATE_CAP": "4.5e0"}, []),
                                            ({}, ["--seed", "-1"])],
-                             ids=["env-state-cap", "env-seed", "env-samples", "flag-seed"])
+                             ids=["env-state-cap", "env-seed", "env-samples", "env-fraction",
+                                  "flag-seed"])
     def test_out_of_range_config_exit_2(self, capsys, monkeypatch, env, flags):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -241,6 +248,8 @@ class TestCli:
         "seed=7\nbogus=1\n",
         "tolerances=1\n",
         "state_cap=0\n",
+        "seed=1.7\n",  # a fraction is rejected, not truncated
+        "mc_samples=2.9\n",
     ])
     def test_bad_config_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "run.cfg"

@@ -13,7 +13,6 @@ from qmm.polytope import (
     asymptotic_volume,
     asymptotic_volume_rowsum,
     exact_volume,
-    exact_volume_n3,
     exact_volume_n4,
     mc_volume,
     mc_volume_peel,
@@ -25,17 +24,13 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 class TestExactN3:
     def test_symmetric_interior(self):
-        assert exact_volume_n3(DiagonalSpec(3, (0.5, 0.5, 0.5))) == 1.0
+        assert exact_volume(DiagonalSpec(3, (0.5, 0.5, 0.5))) == 1.0
 
     def test_infeasible(self):
-        assert exact_volume_n3(DiagonalSpec(3, (0.0, 0.9, 0.9))) == 0.0
+        assert exact_volume(DiagonalSpec(3, (0.0, 0.9, 0.9))) == 0.0
 
     def test_feasible_asymmetric(self):
-        assert exact_volume_n3(DiagonalSpec(3, (0.2, 0.4, 0.6))) == 1.0
-
-    def test_dimension_error(self):
-        with pytest.raises(ValueError):
-            exact_volume_n3(DiagonalSpec(4, (0.5,) * 4))
+        assert exact_volume(DiagonalSpec(3, (0.2, 0.4, 0.6))) == 1.0
 
 
 class TestExactN4:
@@ -172,9 +167,7 @@ class TestPeelOracle:
 
 class TestMethodRule:
     def test_exact_volume_only_at_n3_and_n4(self):
-        spec3 = DiagonalSpec(3, (0.2, 0.4, 0.6))
         spec4 = DiagonalSpec(4, (0.8, 0.6, 0.4, 0.3))
-        assert exact_volume(spec3) == exact_volume_n3(spec3)
         assert exact_volume(spec4) == exact_volume_n4(spec4)
         assert exact_volume(DiagonalSpec(5, (0.5,) * 5)) is None
 

@@ -366,13 +366,16 @@ class TestDegenerateCases:
 
 
 def test_import_leaves_scipy_unloaded():
-    # `import qmm` pulls in no scipy module
+    # `import qmm` loads every library module and pulls in no scipy module
     import qmm
 
     src = str(Path(qmm.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import qmm; print('scipy' in sys.modules)"
+    library = ["asymcount", "counting", "detkit", "numkit", "orthopoly", "partition", "polytope",
+               "quadrature"]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qmm; print('scipy' in sys.modules); "
+            f"print(all('qmm.' + name in sys.modules for name in {library!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_partition_oracle_leaves_scipy_unloaded():

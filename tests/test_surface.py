@@ -4,7 +4,10 @@ only tests call is either gated by an acceptance clause or deleted.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import qmm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,10 @@ def test_every_public_name_has_a_caller():
     uncalled = sorted(public - referenced - set(ALLOWED))
     assert not uncalled, f"public names that nothing in src/ or scripts/ calls: {uncalled}"
     assert public - referenced == set(ALLOWED), "stale allowlist entry"
+
+
+def test_package_namespace_holds_only_modules():
+    # names are imported from their modules; the package re-exports none
+    facade = sorted(name for name, value in vars(qmm).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert not facade, f"names re-exported by qmm/__init__.py: {facade}"
