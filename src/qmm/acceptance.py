@@ -119,7 +119,7 @@ def check_1(cfg: RunConfig) -> list[CheckResult]:
     t0 = time.perf_counter()
     rows_ok = []
     for t, expect in N5_SUM32:
-        got = counting.count_row_sums(counting.RowSumSpec(5, t))
+        got = counting.count_row_sums(counting.RowSumSpec(5, t), state_cap=cfg.state_cap)
         rows_ok.append(got == expect)
     fast = time.perf_counter() - t0 < 10.0
     out = [
@@ -138,11 +138,11 @@ def check_1(cfg: RunConfig) -> list[CheckResult]:
 
 def check_2(cfg: RunConfig) -> list[CheckResult]:
     ok16 = all(
-        counting.count_row_sums(counting.RowSumSpec(5, t)) == expect
+        counting.count_row_sums(counting.RowSumSpec(5, t), state_cap=cfg.state_cap) == expect
         for t, expect in N5_SUM16
     )
     t, expect = N5_SUM64_ROW1
-    ok64 = counting.count_row_sums(counting.RowSumSpec(5, t)) == expect
+    ok64 = counting.count_row_sums(counting.RowSumSpec(5, t), state_cap=cfg.state_cap) == expect
     return [
         CheckResult(2, "exact counts, N=5 entry-sum 16", "N=5 row-sum count table (sum 16)",
                     ok16, "7/7 rows exact" if ok16 else "mismatch"),
@@ -154,9 +154,7 @@ def check_2(cfg: RunConfig) -> list[CheckResult]:
 def check_3(cfg: RunConfig) -> list[CheckResult]:
     out = []
     for n, t, expect in UNIFORM_COUNTS_3SF:
-        got = counting.count_row_sums(
-            counting.RowSumSpec(n, (t,) * n), state_cap=cfg.state_cap
-        )
+        got = counting.count_row_sums(counting.RowSumSpec(n, (t,) * n), state_cap=cfg.state_cap)
         ok = _round_sig(float(got), 3) == expect
         out.append(
             CheckResult(
@@ -172,7 +170,7 @@ def check_4(cfg: RunConfig) -> list[CheckResult]:
     floors = []
     for n, t, target in [(7, 8, 0.928), (6, 6, 0.906)]:
         spec = counting.RowSumSpec(n, (t,) * n)
-        exact = counting.count_row_sums(spec)
+        exact = counting.count_row_sums(spec, state_cap=cfg.state_cap)
         asym = asymcount.asymptotic_count(spec)
         floor = asymcount.lower_bound(spec, (asymcount.lambda_star(spec),) * n, 0.25)
         floors.append(math.exp(floor.log_abs - math.log(exact)))
@@ -208,10 +206,10 @@ def check_5(cfg: RunConfig) -> list[CheckResult]:
         details.append(f"{dev:.2f}")
         checked += 1
     grid = (np.arange(20) + 0.5) / 20.0
-    u = 1.0 - np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    b12 = (u[:, 0] + u[:, 1] - u[:, 2]) / 2.0
-    b13 = (u[:, 0] - u[:, 1] + u[:, 2]) / 2.0
-    b23 = (-u[:, 0] + u[:, 1] + u[:, 2]) / 2.0
+    u = 1.0 - np.stack(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, -1)
+    b12 = (u[0] + u[1] - u[2]) / 2.0
+    b13 = (u[0] - u[1] + u[2]) / 2.0
+    b23 = (-u[0] + u[1] + u[2]) / 2.0
     feasible = np.where(np.minimum(np.minimum(b12, b13), b23) >= 0.0, 1.0, 0.0)
     ok_grid = np.array_equal(polytope._exact_volume_n3_rowsum(u), feasible)
     return [
@@ -331,7 +329,7 @@ def check_9(cfg: RunConfig) -> list[CheckResult]:
     a = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(3)]
     b = [[Fraction(1, j + 2 * k + 1) for k in range(3)] for j in range(5)]
     binet = detkit.cauchy_binet_det(a, b)
-    dense = detkit._square_det([[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a])
+    dense = detkit.det_rows([[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a])
     nodes = {n: detkit.exp_kernel_nodes(n) for n in EXPDET_RATIOS}
     v7 = np.vander(nodes[7], increasing=True).T
     off = np.abs(detkit.inverse_vandermonde(nodes[7]) @ v7 - np.eye(7)).max()
@@ -417,7 +415,7 @@ def check_10(cfg: RunConfig) -> list[CheckResult]:
         # exp(i a x - b x^2 + i c x^3 - d x^4) at b = 1, c = 0.4 N^-1/2
         coef = (a, 1.0, 0.4 / math.sqrt(n), d)
         return abs(quadrature.quartic_gauss_saddle(*coef, variant)
-                   / quadrature.quartic_gauss_direct(*coef) - 1.0)
+                   / quadrature.quartic_phase(0, *coef) - 1.0)
 
     sizes = (16, 64, 256)
     errs1 = [saddle_err(1.0, n, 0.3 / n, 1) for n in sizes]

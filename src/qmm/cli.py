@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # the library rejected its input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, counting.InstanceTooLarge) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 DEFAULT_STATE_CAP = 2_000_000
 
 
-class InstanceTooLarge(Exception):
+class InstanceTooLarge(ArithmeticError):
     """Raised when the count visits more residual states than its cap."""
 
 

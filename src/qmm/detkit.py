@@ -24,7 +24,8 @@ def vandermonde_det(nodes) -> float:
     """prod_{k<l} (x_l - x_k) of a sequence of nodes.
 
     Nodes may be floats, Fractions (exact result), mpmath numbers, or
-    numpy arrays of equal shape, e.g. list(lam.T) for a per-row product.
+    numpy arrays of one shape, e.g. the rows of a (k, m) block for one
+    product per column.
     """
     x = list(nodes)
     out = 1  # the nodes' own arithmetic picks the field, as in det_rows
@@ -116,7 +117,7 @@ def exp_det_factorization(x, y, c=1.0):
     xs, ys = _mp_nodes(x, y)
     with mp.workdps(max(30, 12 * len(xs))):
         rows, fact = _exp_kernel(xs, ys, mp.mpmathify(c))
-        exact = _square_det(rows)
+        exact = det_rows(rows)
     window = len(xs) * max(abs(complex(v)) for v in xs) * max(abs(complex(v)) for v in ys)
     return exact, fact, window < 1.0
 
@@ -140,7 +141,7 @@ def exp_kernel_ratio(x, y, c: float) -> float:
         rows, fact = _exp_kernel(xs, ys, mp.mpf(c), pair)
         if fact == 0:
             raise ValueError("more than one coincident y pair")
-        return float(_square_det(rows) / fact)
+        return float(det_rows(rows) / fact)
 
 
 def cauchy_binet_det(a, b):
@@ -159,44 +160,35 @@ def cauchy_binet_det(a, b):
     for subset in combinations(range(n), m):
         minor_a = [[rows_a[i][j] for j in subset] for i in range(m)]
         minor_b = [[rows_b[j][i] for i in range(m)] for j in subset]
-        total = total + _square_det(minor_a) * _square_det(minor_b)
+        total = total + det_rows(minor_a) * det_rows(minor_b)
     return total
-
-
-def _square_det(rows):
-    """Dense determinant of a list of rows by det_rows, on a copy.
-
-    int entries become Fractions, so integer and rational input stays
-    exact; the empty matrix has determinant 1.
-    """
-    if not rows:
-        return 1
-    return det_rows([[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows])
 
 
 def det_rows(rows):
     """Determinant of a square matrix given as rows of entries of one field.
 
-    Entries are Fractions (exact result), mpmath numbers (at the caller's
-    working precision), float or complex scalars, or float arrays (Python
-    and numpy scalars allowed among them) that broadcast to one leading
-    shape: rows[k][l] then holds entry (k, l) at every point of
-    that shape (0-d for one matrix) and the result has that shape.
+    Entries are ints or Fractions (exact result; the ints become
+    Fractions), mpmath numbers (at the caller's working precision), float
+    or complex scalars, or float arrays (Python and numpy scalars allowed
+    among them) that broadcast to one leading shape: rows[k][l] then
+    holds entry (k, l) at every point of that shape (0-d for one matrix)
+    and the result has that shape.  The empty matrix has determinant 1.
     Gaussian elimination with partial pivoting runs elementwise over the
     leading shape, so a batch of small matrices costs O(n^3) array
     operations instead of one LAPACK call per matrix.  Pivoting keeps
     every multiplier at most 1 in magnitude, so a tiny (even subnormal)
     pivot cannot overflow, and a zero pivot (a singular point) gives det 0
-    without dividing by it.  The lists in rows are the work space: their
-    entries are replaced by the elimination's own values, which it
-    updates in place.  A pivot swap exchanges two row lists when no entry
-    is an array.  With any array entry (0-d included) every entry is
-    first replaced, one at a time, by a float64 copy of the leading
-    shape, so the arrays passed in are only read, and a swap exchanges
-    the two rows' bit patterns in place at the points where it holds:
-    d = (a ^ b) & mask; a ^= d; b ^= d on uint64 views, which moves every
-    value exactly.  Array entries of any other common type (complex,
-    object or long double, say) raise ValueError.
+    without dividing by it.  The lists in rows are the work space, so a
+    caller passes lists it does not read again: their entries are
+    replaced by the elimination's own values, which it updates in place.
+    A pivot swap exchanges two row lists when no entry is an array.  With
+    any array entry (0-d included) every entry is first replaced, one at
+    a time, by a float64 copy of the leading shape, so the arrays passed
+    in are only read, and a swap exchanges the two rows' bit patterns in
+    place at the points where it holds: d = (a ^ b) & mask; a ^= d;
+    b ^= d on uint64 views, which moves every value exactly.  Array
+    entries of any other common type (complex, object or long double,
+    say) raise ValueError.
     """
     n = len(rows)
     arrays = any(isinstance(v, np.ndarray) for row in rows for v in row)
@@ -218,6 +210,9 @@ def det_rows(rows):
                 row[l] = copy
             bits.append([v.view(np.uint64) for v in row])
         diff = np.empty_like(bits[0][0])
+    else:
+        for row in rows:
+            row[:] = [Fraction(v) if isinstance(v, int) else v for v in row]
     det = 1
     flip = False
     for c in range(n):
@@ -241,6 +236,8 @@ def det_rows(rows):
             rows[r][c] /= piv  # the multiplier; the entry is not read again
             for l in range(c + 1, n):
                 rows[r][l] -= rows[r][c] * rows[c][l]
+    if not arrays:
+        return -det if flip else det
     return np.where(flip, -det, det)[()]
 
 
@@ -264,7 +261,7 @@ def beta_det(n: int, closed_form: bool = True) -> Fraction:
     beta = lambda a, b: Fraction(
         math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1)
     )
-    return _square_det([[beta(k, l) for l in range(1, n + 1)] for k in range(1, n + 1)])
+    return det_rows([[beta(k, l) for l in range(1, n + 1)] for k in range(1, n + 1)])
 
 
 def shifted_factorial_det(n: int, closed_form: bool = True) -> Fraction:
@@ -280,5 +277,5 @@ def shifted_factorial_det(n: int, closed_form: bool = True) -> Fraction:
             out /= math.prod(range(2 * t - 1, 0, -2))
         return out
     entry = lambda k, l: Fraction(1, math.factorial(2 * k - l)) if 2 * k >= l else Fraction(0)
-    return _square_det([[entry(k, l) for l in range(n)] for k in range(n)])
+    return det_rows([[entry(k, l) for l in range(n)] for k in range(n)])
 

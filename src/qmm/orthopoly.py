@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .detkit import _square_det
+from .detkit import det_rows
 
 log = logging.getLogger(__name__)
 
@@ -59,10 +59,10 @@ def hankel_det(rho, k: int):
     """det(rho_{i+j})_{i,j=0..k} of the moments rho; exact for integer/Fraction moments."""
     if 2 * k >= len(rho):
         raise ValueError("not enough moments")
-    return _square_det([[rho[i + j] for j in range(k + 1)] for i in range(k + 1)])
+    return det_rows([[rho[i + j] for j in range(k + 1)] for i in range(k + 1)])
 
 
-class QuasiDefiniteError(Exception):
+class QuasiDefiniteError(ArithmeticError):
     """Raised when a Hankel determinant vanishes."""
 
 
@@ -117,7 +117,7 @@ def polynomial_from_moments(rho, n: int):
     minors = [
         [[rho[i + k] for k in range(n + 1) if k != j] for i in range(n)] for j in range(n + 1)
     ]
-    return np.array([(-1) ** (n + j) * _square_det(m) / d_prev for j, m in enumerate(minors)])
+    return np.array([(-1) ** (n + j) * det_rows(m) / d_prev for j, m in enumerate(minors)])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,8 @@ def u_coefficients(n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > QUARTIC_N_CAP // 2:  # row n_max needs R_2n_max
+        raise ValueError(f"U table capped at n_max = {QUARTIC_N_CAP // 2}")
     table = quartic_r_sequence(2 * n_max)
     u = np.zeros((n_max + 1, n_max + 1))
     for m in range(n_max + 1):

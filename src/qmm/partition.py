@@ -137,28 +137,22 @@ def z_zero_kinetic(n: int, g: float) -> LogValue | None:
 # eigenvalue integrand and Monte Carlo
 
 
-def eigen_integrand(spec: KineticSpectrum, lam):
+def eigen_integrand(spec: KineticSpectrum, cols):
     """Delta(lam) det(exp(-e_k lam_l^2)) e^<quartic> / (prod(lam_m+lam_n) Delta(e)).
 
-    lam holds the eigenvalues on its last axis; the result has the leading
-    shape (a float for one point).  Finite everywhere: at lam_m + lam_n = 0
-    the determinant's compensating zero is taken analytically (derivative
-    column), mirroring the paired exponential cancellation of the
-    two-eigenvalue case.
+    cols holds one entry per eigenvalue lam_l, floats or arrays of one
+    shape; the result has that shape (a float for one point).  Finite
+    everywhere: at lam_m + lam_n = 0 the determinant's compensating zero
+    is taken analytically (derivative column), mirroring the paired
+    exponential cancellation of the two-eigenvalue case.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1:] != (spec.n,):
+    if len(cols) != spec.n:
         raise ValueError("need one eigenvalue per index")
-    cols = list(np.moveaxis(lam, -1, 0))  # one leading-shape array per eigenvalue
-    return _eigen_integrand_cols(spec, cols, [c * c for c in cols])
-
-
-def _eigen_integrand_cols(spec: KineticSpectrum, cols, sq):
-    """eigen_integrand from the eigenvalue columns and their squares sq."""
     de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
     tol = _COLLISION_RTOL * reduce(np.maximum, map(np.abs, cols), 1.0)
+    sq = [c * c for c in cols]
     # the kernel transposed, one row per eigenvalue: row l is exp(-e_k lam_l^2)
     mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
@@ -196,8 +190,7 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
     c = min(spec.e) + math.sqrt(spec.g)
 
     def folded(s, t):
-        return 2.0 * (eigen_integrand(spec, np.stack([s, t], axis=-1))
-                      + eigen_integrand(spec, np.stack([s, -t], axis=-1)))
+        return 2.0 * (eigen_integrand(spec, [s, t]) + eigen_integrand(spec, [s, -t]))
 
     value, err = trapezoid(folded, 0.4, math.sqrt(37.0 / c), dim=2)
     return -0.5 * math.pi * float(value), 0.5 * math.pi * float(err)
@@ -229,7 +222,7 @@ def _eigen_sampler(spec: KineticSpectrum) -> Sampler:
         sq = [c * c for c in cols]
         log_q = (n / 2.0) * math.log(emin / math.pi) - emin * sum(sq)
         if not all_equal:
-            return _eigen_integrand_cols(spec, cols, sq) * np.exp(-log_q)
+            return eigen_integrand(spec, cols) * np.exp(-log_q)
         vdm = vandermonde_det(cols)
         ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)

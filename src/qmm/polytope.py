@@ -49,8 +49,8 @@ class DiagonalSpec:
 
 
 def _exact_volume_n3_rowsum(u) -> np.ndarray:
-    """N=3 indicator (1 iff all s_j >= 0) of each row-sum vector along the last axis of u."""
-    u1, u2, u3 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    """N=3 indicator (1 iff all s_j >= 0) of the row sums u, one row per component."""
+    u1, u2, u3 = np.asarray(u, dtype=float)
     half = (u1 + u2 + u3) / 2.0
     return np.where((half - u1 >= 0.0) & (half - u2 >= 0.0) & (half - u3 >= 0.0), 1.0, 0.0)
 
@@ -68,8 +68,8 @@ def exact_volume_n4(spec: DiagonalSpec) -> float:
 
 
 def _exact_volume_n4_rowsum(u) -> np.ndarray:
-    """Exact N=4 volume of each row-sum vector along the last axis of u."""
-    u1, u2, u3, u4 = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    """Exact N=4 volume of the row sums u, one row per component."""
+    u1, u2, u3, u4 = np.asarray(u, dtype=float)
     half = (u1 + u2 + u3 + u4) / 2.0
     s1, s2, s3, s4 = half - u1, half - u2, half - u3, half - u4
     s12 = half - u1 - u2
@@ -177,7 +177,7 @@ def mc_volume_peel(
             res[:m] -= g
             # g_j <= residual_j before the subtraction iff >= 0 after it
             w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
-        return w * _exact_volume_n4_rowsum(res[:4].T)
+        return w * _exact_volume_n4_rowsum(res[:4])
 
     # rows n, ..., 5 are peeled in turn, row k drawing k - 1 exponentials
     draws = tuple(("standard_exponential", k - 1) for k in range(n, 4, -1))

@@ -22,7 +22,7 @@ K_SERIES_TERMS = 400  # at most; the k_n series stops once a term is 1e-30 of th
 ENVELOPE_EXPONENT = 700.0  # e^-700 < 1e-304: the envelope's tail past L is below any value
 
 
-def _quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
+def quartic_phase(k: int, a: float, b: float, c: float, d: float) -> complex:
     """I_k = int x^k exp(i a x - b x^2 + i c x^3 - d x^4) dx over the real line.
 
     The integrand g is entire, so the line may move to Im x = y: y is 0 or
@@ -199,16 +199,11 @@ def saddle_shift_root(a, b, c, d) -> complex:
     return complex(min(roots, key=lambda z: abs(z - target)))
 
 
-def quartic_gauss_direct(a, b, c, d) -> complex:
-    """Quadrature oracle for the variant integrals at real a, b, c, d."""
-    return _quartic_phase(0, a, b, c, d)
-
-
 # ---------------------------------------------------------------------------
 # k_n(mu) series
 
 
-class SeriesLossError(Exception):
+class SeriesLossError(ArithmeticError):
     """Raised when the alternating series cancels away too many digits."""
 
 
@@ -246,7 +241,7 @@ def k_quadrature(n: int, mu: float) -> float:
         raise ValueError("n must be >= 0")
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return _quartic_phase(2 * n, 0.0, 1.0, 0.0, 1.0 / mu).real if mu else 0.0
+    return quartic_phase(2 * n, 0.0, 1.0, 0.0, 1.0 / mu).real if mu else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +303,7 @@ def pearcey_direct(a: float, b: float, k: int = 0) -> complex:
     even k, purely imaginary for odd k."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("a and b must be finite")
-    return _quartic_phase(k, -a, b, 0.0, 1.0)
+    return quartic_phase(k, -a, b, 0.0, 1.0)
 
 
 def _middle_saddle_value(a, b):

@@ -97,7 +97,7 @@ def test_matrix_clause_fails_on_a_wrong_weight(monkeypatch, mutant):
 def _n3_indicator_without(j):
     # the N=3 row-sum form with its s_j >= 0 test dropped
     def mutant(u):
-        u = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        u = np.asarray(u, dtype=float)
         s = u.sum(axis=0) / 2.0 - u
         return np.where(np.delete(s, j, axis=0).min(axis=0) >= 0.0, 1.0, 0.0)
 

@@ -14,6 +14,7 @@ from qmm import acceptance, detkit
 from qmm.cli import COMMANDS, main
 from qmm.counting import DEFAULT_STATE_CAP
 from qmm.config import RunConfig, load_config
+from qmm.orthopoly import QuasiDefiniteError
 from qmm.polytope import DiagonalSpec, mc_volume_peel
 
 
@@ -106,6 +107,24 @@ class TestCli:
         rc = main(["count", "--n", "10", "--t", ",".join(["40"] * 10)])
         assert rc == 1
         assert "too large" in capsys.readouterr().err
+
+    def test_verify_asym_honours_the_state_cap(self, capsys, monkeypatch):
+        # criterion 4's exact counts stop at the configured cap, as criterion 3's do
+        monkeypatch.setenv("QMM_STATE_CAP", "100")
+        assert main(["verify", "--suite", "asym"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: instance too large")
+
+    def test_arithmetic_failure_exit_1_without_traceback(self, capsys, monkeypatch):
+        def singular(args, cfg):
+            raise QuasiDefiniteError("moment functional not quasi-definite")
+
+        monkeypatch.setitem(COMMANDS, "orthopoly", singular)
+        assert main(["orthopoly", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: moment functional not quasi-definite\n"
 
     def test_verify_suite_exit_codes(self, capsys):
         rc = main(["verify", "--suite", "utilities"])
@@ -313,6 +332,7 @@ class TestCli:
         (["partition", "--e", "1,1,1,1,1", "--g", "0.1", "--mc"],
          "matrix MC limited to n <= 4 (N^2-dimensional integral)"),
         (["orthopoly", "--n", "70"], "n_max capped at 64"),
+        (["orthopoly", "--n", "33", "--u"], "U table capped at n_max = 32"),
     ])
     def test_rejected_input_exit_2(self, capsys, argv, message):
         rc = main(argv)

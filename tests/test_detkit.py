@@ -144,9 +144,7 @@ class TestCauchyBinet:
             for i in range(m)
         ]
         # direct rational determinant of the product
-        from qmm.detkit import _square_det
-
-        assert cauchy_binet_det(a, b) == _square_det(ab)
+        assert cauchy_binet_det(a, b) == det_rows(ab)
 
 
 def _rows(a):
@@ -243,6 +241,16 @@ class TestDetRows:
         d = det_rows([[2.0, 1.0], [1.0, 3.0]])
         assert np.ndim(d) == 0 and d == 5.0
         assert det_rows([[np.array(0.0), np.array(1.0)], [np.array(1.0), np.array(3.0)]]) == -1.0
+
+    def test_int_rows_give_the_exact_fraction(self):
+        d = det_rows([[2, 1], [1, 3]])
+        assert type(d) is Fraction and d == 5
+        # the elimination divides by 4, swaps rows and divides by 9/2
+        d = det_rows([[4, 1, 2], [1, 3, 0], [2, 5, 7]])
+        assert type(d) is Fraction and d == 75
+
+    def test_empty_matrix_is_one(self):
+        assert det_rows([]) == 1
 
     def test_fraction_hilbert_is_exact(self):
         d = det_rows([[Fraction(1, k + l + 1) for l in range(5)] for k in range(5)])

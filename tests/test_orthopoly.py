@@ -255,6 +255,12 @@ class TestUCoefficients:
             for k in range(m + 1):
                 assert abs(u[m, k]) <= u_coefficient_bound(m, k) * (1 + 1e-12)
 
+    def test_row_count_capped_at_half_the_recursion_cap(self):
+        # row n needs R_2n, and the recursion stops at R_64
+        assert u_coefficients(32).shape == (33, 33)
+        with pytest.raises(ValueError, match="U table capped at n_max = 32"):
+            u_coefficients(33)
+
     def test_even_polynomials_match_u_rows(self):
         # P_{2m}(x) = sum_k U[m,k] x^(2k)
         table = quartic_r_sequence(8)

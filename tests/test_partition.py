@@ -161,6 +161,14 @@ class TestEigenIntegrand:
         b = eigen_integrand(spec, tuple(-x for x in lam))
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_one_entry_per_eigenvalue(self):
+        spec = KineticSpectrum(3, (1.0, 1.3, 1.9), 0.2)
+        # a (5, 3) block is five points on the last axis, not three rows
+        with pytest.raises(ValueError, match="one eigenvalue per index"):
+            eigen_integrand(spec, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="one eigenvalue per index"):
+            eigen_integrand(spec, (0.3, -0.8))
+
 
 class TestMonteCarlo:
     def test_eigen_mc_free_theory(self):
@@ -564,7 +572,7 @@ class TestEigenIntegrandProperties:
         # the same row in one batch with a near-collision row and a generic
         # row: the batch result is the per-row result
         batch = np.array([lam, [l1, -l1 + 1e-6, l3], [l1, l3, 0.37]])
-        vals = eigen_integrand(spec, batch)
+        vals = eigen_integrand(spec, batch.T)
         assert vals.shape == (3,)
         rows = [eigen_integrand(spec, tuple(row)) for row in batch]
         assert list(vals) == pytest.approx(rows, rel=1e-13)

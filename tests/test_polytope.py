@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qmm import numkit
 from qmm.polytope import (
     DiagonalSpec,
+    _exact_volume_n4_rowsum,
     applicability_margin,
     asymptotic_volume,
     asymptotic_volume_rowsum,
@@ -68,6 +69,16 @@ class TestExactN4:
     @given(st.tuples(unit, unit, unit, unit))
     def test_nonnegative(self, h):
         assert exact_volume_n4(DiagonalSpec(4, h)) >= 0.0
+
+    def test_rowsum_kernel_takes_one_row_per_component(self):
+        # 200 random diagonals, the three named points above and an empty
+        # polytope, as the columns of a (4, m) block
+        h = np.random.default_rng(5).uniform(0.0, 1.0, (200, 4))
+        h = np.vstack([h, [(1.0,) * 4, (0.5,) * 4, (0.8, 0.6, 0.4, 0.3), (0.0, 0.9, 0.9, 0.9)]])
+        specs = [DiagonalSpec(4, tuple(row)) for row in h]
+        got = _exact_volume_n4_rowsum(np.array([spec.u for spec in specs]).T)
+        assert got.shape == (len(specs),)
+        assert list(got) == [exact_volume_n4(spec) for spec in specs]
 
 
 class TestMonteCarlo:

@@ -20,8 +20,8 @@ from qmm.quadrature import (
     pearcey_region,
     pearcey_saddle,
     pearcey_saddles,
-    quartic_gauss_direct,
     quartic_gauss_saddle,
+    quartic_phase,
     saddle_shift_root,
     stokes_value,
 )
@@ -65,7 +65,7 @@ class TestQuarticGaussSaddle:
 
     def test_variant1_against_quadrature(self):
         got = quartic_gauss_saddle(1.0, 1.0, 0.1, 0.05, variant=1)
-        oracle = quartic_gauss_direct(1.0, 1.0, 0.1, 0.05)
+        oracle = quartic_phase(0, 1.0, 1.0, 0.1, 0.05)
         assert abs(got - oracle) / abs(oracle) < 0.02
 
     def test_variant3_root_residual(self):
@@ -77,10 +77,10 @@ class TestQuarticGaussSaddle:
     def test_variant2_and_3_track_quadrature(self):
         n = 64
         a, b, c, d = math.sqrt(n), 1.0, 0.4 / math.sqrt(n), 0.3 / n
-        oracle3 = quartic_gauss_direct(a, b, c, d)
+        oracle3 = quartic_phase(0, a, b, c, d)
         got3 = quartic_gauss_saddle(a, b, c, d, variant=3)
         assert abs(got3 - oracle3) / abs(oracle3) < 0.05
-        oracle2 = quartic_gauss_direct(a, b, c, 0.0)
+        oracle2 = quartic_phase(0, a, b, c, 0.0)
         got2 = quartic_gauss_saddle(a, b, c, 0.0, variant=2)
         assert abs(got2 - oracle2) / abs(oracle2) < 0.05
 
@@ -100,7 +100,7 @@ class TestQuarticGaussSaddle:
         for n in (16, 64, 256):
             a, b, c, d = 1.0, 1.0, 0.4 / math.sqrt(n), 0.3 / n
             got = quartic_gauss_saddle(a, b, c, d, variant=1)
-            oracle = quartic_gauss_direct(a, b, c, d)
+            oracle = quartic_phase(0, a, b, c, d)
             errs.append(abs(got - oracle) / abs(oracle))
         # err(N) <= K N^(-3/2) with K pinned at the smallest N (x4 slack)
         k_const = errs[0] * 16**1.5
@@ -113,7 +113,7 @@ class TestQuarticGaussSaddle:
         # mpmath.quad of the integrand over [-40, 40] in 160 pieces gives
         # 2.2557167811504842013e-25 on the real line at 80 digits and on the
         # line Im x = 8 through the saddle at 50 digits
-        got = quartic_gauss_direct(16.0, 1.0, 0.025, 0.3 / 256)
+        got = quartic_phase(0, 16.0, 1.0, 0.025, 0.3 / 256)
         assert got.real == pytest.approx(2.2557167811504842e-25, rel=1e-13, abs=0.0)
         assert got.imag == 0.0
 
@@ -125,7 +125,7 @@ class TestQuarticGaussSaddle:
         # that floor the step-halving gap stayed below the value, and the
         # oracle returned 8.0192e-15
         with pytest.raises(ArithmeticError, match="error estimate"):
-            quartic_gauss_direct(12.0, 1.0, -0.1, 0.0)
+            quartic_phase(0, 12.0, 1.0, -0.1, 0.0)
 
     def test_divergent_parameters_rejected(self):
         with pytest.raises(ValueError):
