@@ -184,6 +184,8 @@ def gamma_quarter_det(n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > QUARTIC_N_CAP // 2:  # the norms run up to R_2n
+        raise ValueError(f"Gamma determinant capped at n = {QUARTIC_N_CAP // 2}")
     table = quartic_r_sequence(2 * n)
     with mp.workdps(max(30, 10 * n)):
         gammas = [mp.gamma(mp.mpf(2 * j + 1) / 4) for j in range(2 * n - 1)]

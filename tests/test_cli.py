@@ -61,8 +61,8 @@ class TestCli:
         assert main(["pearcey", "--a", "-24", "--b", "14", "--k", "0",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["direct"] == pytest.approx(1.01e-5, rel=0.02)
-        assert payload["saddle"] == pytest.approx(1.04e-5, rel=0.01)
+        assert payload["direct"] == pytest.approx(1.01e-5, rel=0.02, abs=0)
+        assert payload["saddle"] == pytest.approx(1.04e-5, rel=0.01, abs=0)
         assert payload["ratio"] == pytest.approx(1.03, abs=0.01)
 
     def test_json_is_byte_identical(self, capsys):

@@ -228,6 +228,13 @@ class TestGammaQuarterDet:
             direct, via = gamma_quarter_det(n)
             assert abs(direct - via) / abs(direct) <= 1e-8
 
+    def test_order_capped_at_half_the_recursion_cap(self):
+        # the norms need R_2n, and the recursion stops at R_64
+        direct, via = gamma_quarter_det(32)
+        assert abs(direct - via) <= 1e-8 * abs(direct)
+        with pytest.raises(ValueError, match="Gamma determinant capped at n = 32"):
+            gamma_quarter_det(33)
+
 
 class TestUCoefficients:
     def test_spot_values(self):

@@ -53,7 +53,7 @@ class TestZWeak:
         g = 0.05
         a = z_weak(KineticSpectrum(4, e, g)).log_abs
         b = z_weak(KineticSpectrum(4, e, 2 * g)).log_abs
-        assert b - a == pytest.approx(-sum(3 * g / (4 * em**2) for em in e), rel=1e-12)
+        assert b - a == pytest.approx(-sum(3 * g / (4 * em**2) for em in e), rel=1e-12, abs=0)
 
     def test_expansion_tracks_closed_form(self):
         # |eps| <= 0.01, N = 6: the expansion (constant carried) agrees to 1e-4
@@ -114,12 +114,12 @@ class TestZZeroKinetic:
         n = 3
         a = z_zero_kinetic(n, 1.0).log_abs
         b = z_zero_kinetic(n, 2.5).log_abs
-        assert a - b == pytest.approx((n * n / 4) * math.log(2.5), rel=1e-12)
+        assert a - b == pytest.approx((n * n / 4) * math.log(2.5), rel=1e-12, abs=0)
 
     def test_n2_against_matrix_mc(self):
         # direct 4-dimensional Hermitian MC oracle for exp(-Tr X^4)
         expect = z_zero_kinetic(2, 1.0).value
-        assert expect == pytest.approx(math.pi**2 * math.sqrt(2) / 4, rel=1e-10)
+        assert expect == pytest.approx(math.pi**2 * math.sqrt(2) / 4, rel=1e-10, abs=0)
         rng = np.random.default_rng(9)
         n_samp = 400_000
         s = 0.8
@@ -147,7 +147,7 @@ class TestEigenIntegrand:
         lam1 = 0.7
         at_limit = eigen_integrand(spec, (lam1, -lam1, 0.3))
         probe = eigen_integrand(spec, (lam1, -lam1 + 1e-6, 0.3))
-        assert at_limit == pytest.approx(probe, rel=1e-4)
+        assert at_limit == pytest.approx(probe, rel=1e-4, abs=0)
         assert math.isfinite(at_limit)
 
     def test_equal_eigenvalues_vanish(self):
@@ -159,7 +159,7 @@ class TestEigenIntegrand:
         lam = (0.3, -0.8, 1.1)
         a = eigen_integrand(spec, lam)
         b = eigen_integrand(spec, tuple(-x for x in lam))
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_one_entry_per_eigenvalue(self):
         spec = KineticSpectrum(3, (1.0, 1.3, 1.9), 0.2)
@@ -245,8 +245,8 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], g)
     mean, se = z_mc_matrix(spec, 70_000, seed)
     want_mean, want_se = MATRIX_MC_PINS[key]
-    assert mean == pytest.approx(want_mean, rel=1e-12)
-    assert se == pytest.approx(want_se, rel=1e-12)
+    assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0)
 
 
 def _trace_x4_with_diagonal_q(n, diag, re, im):
@@ -330,8 +330,8 @@ def test_eigen_mc_seeded_outputs_pinned(key):
     e, samples, seed = key
     mean, se = z_mc_eigen(KineticSpectrum(len(e), e, 0.1), samples, seed)
     want_mean, want_se = EIGEN_MC_PINS[key]
-    assert mean == pytest.approx(want_mean, rel=1e-12)
-    assert se == pytest.approx(want_se, rel=1e-12)
+    assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0)
 
 
 # The same runs as in MATRIX_MC_PINS and EIGEN_MC_PINS at N = 3 and 4 (two
@@ -421,15 +421,15 @@ def test_haar_mc_same_bits_in_one_block(monkeypatch):
 
 def test_haar_mc_seeded_output_pinned():
     mean, se = hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, 100_000, 21)
-    assert mean == pytest.approx(2.6072959993579237, rel=1e-12)
-    assert se == pytest.approx(0.0018243363621251278, rel=1e-12)
+    assert mean == pytest.approx(2.6072959993579237, rel=1e-12, abs=0)
+    assert se == pytest.approx(0.0018243363621251278, rel=1e-12, abs=0)
 
 
 class TestQuadratureOracle:
     def test_free_theory(self):
         spec = KineticSpectrum(2, (1.0, 1.1), 0.0)
         value, err = z_quad_n2(spec)
-        assert value == pytest.approx(z_free(spec).value, rel=1e-9)
+        assert value == pytest.approx(z_free(spec).value, rel=1e-9, abs=0)
         assert 0.0 <= err < 1e-5
 
     def test_agrees_with_eigen_mc(self):
@@ -461,7 +461,7 @@ class TestHciz:
         assert hciz_value((0.0, 1.0), (0.0, 1.0), 1.0) == pytest.approx(math.e - 1.0)
 
     def test_t_to_zero_limit(self):
-        assert hciz_value((0.3, 1.4), (0.2, 0.9), 1e-7) == pytest.approx(1.0, rel=1e-6)
+        assert hciz_value((0.3, 1.4), (0.2, 0.9), 1e-7) == pytest.approx(1.0, rel=1e-6, abs=0)
 
     def test_haar_mc_agreement(self):
         f = hciz_value((0.0, 1.0), (0.0, 1.0), 1.0)
@@ -478,7 +478,7 @@ class TestHciz:
         x = (0.0, 1.0, 2.0)
         base = hciz_value(x, (0.2, 0.6, 0.6), 1.3)
         probe = hciz_value(x, (0.2, 0.6, 0.6 + 1e-5), 1.3)
-        assert base == pytest.approx(probe, rel=1e-3)
+        assert base == pytest.approx(probe, rel=1e-3, abs=0)
 
     def test_too_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -493,7 +493,7 @@ class TestHciz:
         # the exp-kernel table's nodes (k+1) n^-1.75: the ratio is 1.13137 at n = 7
         x = tuple((k + 1) * n**-1.75 for k in range(n))
         exact, fact, _ = exp_det_factorization(x, x, 1.0)
-        assert hciz_value(x, x, 1.0) == pytest.approx(exact / fact, rel=1e-12)
+        assert hciz_value(x, x, 1.0) == pytest.approx(exact / fact, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("gap", [1e-7, 0.0])
     def test_close_y_pair_matches_mpmath(self, gap):
@@ -505,7 +505,7 @@ class TestHciz:
             ys[2] += 0 if gap else mp.mpf("1e-30")
             mat = mp.matrix([[mp.exp(tt * a * b) for b in ys] for a in xs])
             ref = 2 * mp.det(mat) / (tt**3 * vandermonde_det(xs) * vandermonde_det(ys))
-        assert hciz_value(x, y, t) == pytest.approx(float(ref), rel=1e-12)
+        assert hciz_value(x, y, t) == pytest.approx(float(ref), rel=1e-12, abs=0)
 
 
 class TestFreeTheoryRoutes:
@@ -526,7 +526,7 @@ class TestFreeTheoryRoutes:
         eps = 1e-4 * pat
         s3 = float(np.sum(eps**3))
         diff = polytope_route_correction(eps) - direct_route_correction(eps)
-        assert diff / s3 == pytest.approx(1.0 / 12.0, rel=1e-2)
+        assert diff / s3 == pytest.approx(1.0 / 12.0, rel=1e-2, abs=0)
 
     def test_divergence_at_cube_root_scale(self):
         # the documented mismatch: at eps ~ N^(-1/3) the routes stay apart
@@ -575,7 +575,7 @@ class TestEigenIntegrandProperties:
         vals = eigen_integrand(spec, batch.T)
         assert vals.shape == (3,)
         rows = [eigen_integrand(spec, tuple(row)) for row in batch]
-        assert list(vals) == pytest.approx(rows, rel=1e-13)
+        assert list(vals) == pytest.approx(rows, rel=1e-13, abs=0)
         assert np.all(np.isfinite(vals))
 
     @settings(max_examples=40, deadline=None)
