@@ -3,11 +3,12 @@
 Log-space numbers, the Lambert-W truncation bound, distinct-part
 partition counts and their bound, power sums, the symmetric pole-sum
 functions F and G with the complete homogeneous polynomials that
-criterion 13 checks them against, the Sampler record (draws, column
-kernel, scale) that every Monte Carlo oracle is, the two estimators that
-do its drawing, column blocking and scaling (the seeded Monte Carlo mean
-and the randomised quasi-Monte Carlo mean on a shifted lattice), and the
-step-halving trapezoid rule under every deterministic integral.
+criterion 13 checks them against, the Sampler record (draw method,
+components, block kernel, scale) that every Monte Carlo oracle is, the
+two estimators that do its drawing, blocking and scaling (the seeded
+Monte Carlo mean and the randomised quasi-Monte Carlo mean on a shifted
+lattice), and the step-halving trapezoid rule under every deterministic
+integral.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class LogValue:
 # ---------------------------------------------------------------------------
 # seeded Monte Carlo
 
-#: samples drawn per batch; the seeded outputs depend on it
+#: samples per batch of the mean and variance update
 MC_BATCH = 1 << 16
 #: samples per draw into _draw's scratch block before it is transposed
 _ROW_CHUNK = 1 << 12
-#: columns per block that a sampler's kernel weighs: 64 KiB rows keep
+#: samples per block that a sampler's kernel weighs: 64 KiB rows keep
 #: every temporary under glibc's 128 KiB mmap threshold and a kernel's
 #: working set inside the per-core L2; the seeded outputs do not depend on it
 KERNEL_BLOCK = 1 << 13
@@ -63,35 +64,26 @@ KERNEL_BLOCK = 1 << 13
 class Sampler:
     """A Monte Carlo oracle whose estimate is scale * E[weight].
 
-    draws lists the (method, k) groups of each sample in stream order: k
-    components drawn by the generator's method ("standard_normal",
-    "random", "standard_exponential").  kernel(*blocks) takes one (k, b)
-    column block per group, one row per component, and returns the b
-    weights (float or bool) of its columns.  Each weight comes from its
-    own column only, so the weights do not depend on the blocking; the
-    kernel may overwrite its blocks.
+    Each sample is k components drawn by the generator's method
+    ("standard_normal", "random", "standard_exponential").  kernel(x)
+    takes one (k, b) block, one row per component and one column per
+    sample, and returns the b weights (float or bool) of its columns.
+    Each weight comes from its own column only, so the weights do not
+    depend on the blocking; the kernel may overwrite its block.
     """
 
-    draws: tuple[tuple[str, int], ...]
+    method: str
+    k: int
     kernel: Callable
     scale: float = 1.0
 
-    @property
-    def dim(self) -> int:
-        """Components per sample, over all groups."""
-        return sum(k for _, k in self.draws)
-
-    def _split(self, rows: np.ndarray) -> list[np.ndarray]:
-        """The (dim, m) rows as one (k, m) view per group."""
-        return np.split(rows, np.cumsum([k for _, k in self.draws])[:-1])
-
 
 def _draw(rng, method: str, rows: np.ndarray) -> None:
-    """Fill the (k, m) rows with rng.<method>((m, k)).T, leaving rng as that draw would.
+    """Fill the (k, b) rows with rng.<method>((b, k)).T, leaving rng as that draw would.
 
     A single row is drawn in place.  Several are drawn _ROW_CHUNK samples
     at a time into a small scratch block, each piece then transposed into
-    the rows, so no sample-major block of the batch is ever alive.
+    the rows, so no sample-major block is ever alive.
     """
     draw = getattr(rng, method)
     k, m = rows.shape
@@ -105,40 +97,33 @@ def _draw(rng, method: str, rows: np.ndarray) -> None:
         rows[:, start : start + len(block)] = block.T
 
 
-def _weigh(kernel, groups, out: np.ndarray) -> np.ndarray:
-    """out = kernel(*groups) over the groups' columns, KERNEL_BLOCK columns at a time."""
-    for start in range(0, len(out), KERNEL_BLOCK):
-        cols = slice(start, start + KERNEL_BLOCK)
-        out[cols] = kernel(*[g[:, cols] for g in groups])
-    return out
-
-
 def mc_mean(sampler: Sampler, samples: int, seed: int) -> tuple[float, float]:
     """Seeded Monte Carlo estimate of scale * E[weight], as (value, stderr).
 
-    The one generator default_rng(seed) fills each batch's groups in
-    stream order, as _draw does, and the kernel weighs them by _weigh.
-    The draws and the weights of every batch share one buffer each.
-    Batches hold MC_BATCH samples except the last.  stderr is
-    |scale| sqrt(var / samples) with the population variance var of all
-    the weights, from each batch's squared deviations about its own mean,
-    combined by Chan et al.'s parallel update, so near-constant weights
-    keep their digits.
+    The one generator default_rng(seed) fills one reused (k, KERNEL_BLOCK)
+    buffer by _draw just before the kernel weighs it, so the samples are
+    those of rng.<method>((samples, k)) whatever the block size.  Batches
+    of MC_BATCH samples, the last one shorter, share one weights buffer.
+    stderr is |scale| sqrt(var / samples) with the population variance var
+    of all the weights, from each batch's squared deviations about its own
+    mean, combined by Chan et al.'s parallel update, so near-constant
+    weights keep their digits.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    rows = np.empty((sampler.dim, min(MC_BATCH, samples)))
-    weights = np.empty(rows.shape[1])
+    block = np.empty((sampler.k, min(KERNEL_BLOCK, samples)))
+    weights = np.empty(min(MC_BATCH, samples))
     total = 0.0
     sq_dev = 0.0  # sum of squared deviations from the mean of the batches so far
     done = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        groups = sampler._split(rows[:, :m])
-        for (method, _), group in zip(sampler.draws, groups):
-            _draw(rng, method, group)
-        w = _weigh(sampler.kernel, groups, weights[:m])
+        for start in range(0, m, KERNEL_BLOCK):
+            x = block[:, : min(KERNEL_BLOCK, m - start)]
+            _draw(rng, sampler.method, x)
+            weights[start : start + x.shape[1]] = sampler.kernel(x)
+        w = weights[:m]
         part = float(w.sum())
         w -= part / m
         w *= w
@@ -197,28 +182,30 @@ def _lattice_normals(points: np.ndarray, shift) -> np.ndarray:
 def rqmc_mean(sampler: Sampler, seed: int) -> tuple[float, float]:
     """Randomised quasi-Monte Carlo estimate of scale * E[weight], as (value, stderr).
 
-    The sampler draws standard normals only, 1 to LATTICE_MAX_DIM per
-    point.  Its kernel weighs the normals of the LATTICE_POINTS-point
-    Korobov lattice under each of RQMC_REPLICATES uniform shifts from
-    default_rng(seed), one replicate at a time, handed over as views split
-    by the groups, by _weigh.  The estimate is scale times the mean of the
-    replicate means, the stderr |scale| times their standard deviation
-    over sqrt(RQMC_REPLICATES).
+    The sampler draws 1 to LATTICE_MAX_DIM standard normals per point.
+    Its kernel weighs the (k, LATTICE_POINTS) normals of the Korobov
+    lattice under each of RQMC_REPLICATES uniform shifts from
+    default_rng(seed), one replicate at a time, KERNEL_BLOCK columns at a
+    time.  The estimate is scale times the mean of the replicate means,
+    the stderr |scale| times their standard deviation over
+    sqrt(RQMC_REPLICATES).
     """
-    dim = sampler.dim
-    if not 1 <= dim <= LATTICE_MAX_DIM:
-        raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {dim}")
-    for method, _ in sampler.draws:
-        if method != "standard_normal":
-            raise ValueError(f"the lattice serves standard normals, not {method}")
-    points = _lattice(dim + dim % 2)  # Box-Muller takes coordinates in pairs
+    k = sampler.k
+    if not 1 <= k <= LATTICE_MAX_DIM:
+        raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {k}")
+    if sampler.method != "standard_normal":
+        raise ValueError(f"the lattice serves standard normals, not {sampler.method}")
+    points = _lattice(k + k % 2)  # Box-Muller takes coordinates in pairs
     rng = np.random.default_rng(seed)
     shifts = rng.random((RQMC_REPLICATES, len(points)))
     weights = np.empty(LATTICE_POINTS)
     means = np.empty(RQMC_REPLICATES)
     for r, shift in enumerate(shifts):
-        groups = sampler._split(_lattice_normals(points, shift)[:dim])
-        means[r] = float(_weigh(sampler.kernel, groups, weights).mean())
+        z = _lattice_normals(points, shift)[:k]
+        for start in range(0, LATTICE_POINTS, KERNEL_BLOCK):
+            cols = slice(start, start + KERNEL_BLOCK)
+            weights[cols] = sampler.kernel(z[:, cols])
+        means[r] = float(weights.mean())
     se = float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
     return sampler.scale * float(means.mean()), abs(sampler.scale) * se
 

@@ -227,7 +227,7 @@ def _eigen_sampler(spec: KineticSpectrum) -> Sampler:
         ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
         return vdm * vdm * np.exp(ln_f - log_q)
 
-    return Sampler((("standard_normal", n),), kernel, sign * math.exp(ln_pref))
+    return Sampler("standard_normal", n, kernel, sign * math.exp(ln_pref))
 
 
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
@@ -302,9 +302,9 @@ def _matrix_sampler(spec: KineticSpectrum) -> Sampler:
 
     The proposal is the exact g=0 Gaussian: the quadratic form is diagonal
     in the matrix components, so each is a scaled standard normal, drawn
-    as the groups diag (N rows), re and im (N(N-1)/2 rows each), in the
-    order the seeded outputs depend on, and Z = z_free * E[exp(-g Tr X^4)].
-    At g = 0 every weight is 1.
+    as one group of N + 2 N(N-1)/2 rows in the order diag (N rows), re and
+    im (N(N-1)/2 rows each), the order the seeded outputs depend on, and
+    Z = z_free * E[exp(-g Tr X^4)].  At g = 0 every weight is 1.
     """
     n = spec.n
     if n > MATRIX_MC_MAX_N:
@@ -312,17 +312,14 @@ def _matrix_sampler(spec: KineticSpectrum) -> Sampler:
     e = np.asarray(spec.e)
     pairs = list(combinations(range(n), 2))
     p = len(pairs)
-    sd_diag = (1.0 / np.sqrt(2.0 * e))[:, None]
-    sd_off = np.array([1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs])[:, None]
+    sd_off = [1.0 / math.sqrt(2.0 * (e[k] + e[l])) for k, l in pairs]
+    sd = np.concatenate([1.0 / np.sqrt(2.0 * e), sd_off, sd_off])[:, None]
 
-    def kernel(diag, re, im):
-        diag *= sd_diag
-        re *= sd_off
-        im *= sd_off
-        return np.exp(-spec.g * _trace_x4(n, diag, re, im))
+    def kernel(x):
+        x *= sd
+        return np.exp(-spec.g * _trace_x4(n, x[:n], x[n : n + p], x[n + p :]))
 
-    draws = (("standard_normal", n), ("standard_normal", p), ("standard_normal", p))
-    return Sampler(draws, kernel, z_free(spec).value)
+    return Sampler("standard_normal", n + 2 * p, kernel, z_free(spec).value)
 
 
 def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
@@ -375,7 +372,7 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
             )
         )
 
-    return mc_mean(Sampler((("random", 1),), kernel), samples, seed)
+    return mc_mean(Sampler("random", 1, kernel), samples, seed)
 
 
 # ---------------------------------------------------------------------------

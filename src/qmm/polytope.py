@@ -3,9 +3,9 @@
 Exact formulas for N=3 (point polytope) and N=4 (piecewise quadratic),
 two Monte-Carlo oracles (hit-and-miss over the free off-diagonal block,
 and a row-peeling simplex sampler that stays usable at N ~ 9), each a
-column kernel over its draws that numkit.mc_mean runs, the rule that
-picks the closed form and the sampler at each N, and the asymptotic
-product formula with its applicability diagnostic.
+block kernel over one group of draws that numkit.mc_mean runs, the
+rule that picks the closed form and the sampler at each N, and the
+asymptotic product formula with its applicability diagnostic.
 
 Conventions: h_j are the diagonal entries, u_j = 1 - h_j the off-diagonal
 row sums, s_{i..} = (sum u)/2 - u_i - ...  Volumes are Lebesgue measure in
@@ -140,7 +140,7 @@ def mc_volume(
             ok &= test(total, bound, out=hit)
         return ok
 
-    return mc_mean(Sampler((("random", len(pairs)),), kernel, box_vol), samples, seed)
+    return mc_mean(Sampler("random", len(pairs), kernel, box_vol), samples, seed)
 
 
 def mc_volume_peel(
@@ -161,11 +161,15 @@ def mc_volume_peel(
     n = spec.n
     u0 = np.asarray(spec.u)
 
-    def kernel(*peeled):
-        res = np.empty((n, peeled[0].shape[1]))  # residual row sums, one row per matrix row
+    # rows n, ..., 5 are peeled in turn, row r taking the next r - 1 exponentials
+    peeled = [slice(sum(range(r, n)), sum(range(r - 1, n))) for r in range(n, 4, -1)]
+
+    def kernel(x):
+        res = np.empty((n, x.shape[1]))  # residual row sums, one row per matrix row
         res[:] = u0[:, None]
         w = np.ones(res.shape[1])
-        for g in peeled:  # the m entries of row m + 1, one row per entry
+        for rows in peeled:
+            g = x[rows]  # the m entries of row m + 1, one row per entry
             m = len(g)
             s = res[m]
             # g becomes a uniform point of the simplex {g >= 0, sum g = s}
@@ -179,9 +183,7 @@ def mc_volume_peel(
             w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
         return w * _exact_volume_n4_rowsum(res[:4])
 
-    # rows n, ..., 5 are peeled in turn, row k drawing k - 1 exponentials
-    draws = tuple(("standard_exponential", k - 1) for k in range(n, 4, -1))
-    return mc_mean(Sampler(draws, kernel), samples, seed)
+    return mc_mean(Sampler("standard_exponential", sum(range(4, n)), kernel), samples, seed)
 
 
 def exact_volume(spec: DiagonalSpec) -> float | None:

@@ -159,13 +159,12 @@ class TestPoleSumsComplex:
         assert got == pytest.approx(1.0, abs=1e-10)
 
 
-def _gauss_sampler(a, *groups):
-    # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2), here
-    # with the d normals drawn as the given groups
-    def kernel(*blocks):
-        return np.exp(-a * sum((z * z).sum(axis=0) for z in blocks))
+def _gauss_sampler(a, d):
+    # E[exp(-a |z|^2)] over d standard normals is (1 + 2a)^(-d/2)
+    def kernel(z):
+        return np.exp(-a * (z * z).sum(axis=0))
 
-    return numkit.Sampler(tuple(("standard_normal", k) for k in groups), kernel)
+    return numkit.Sampler("standard_normal", d, kernel)
 
 
 class TestRqmcMean:
@@ -191,13 +190,8 @@ class TestRqmcMean:
         with pytest.raises(ValueError, match="lattice serves"):
             numkit.rqmc_mean(_gauss_sampler(0.3, dim), seed=0)
 
-    def test_dimension_counts_every_group(self):
-        # 6 + 5 normals: each group is in range, the point is not
-        with pytest.raises(ValueError, match="got 11"):
-            numkit.rqmc_mean(_gauss_sampler(0.3, 6, 5), seed=0)
-
     def test_non_normal_draws_rejected(self):
-        sampler = numkit.Sampler((("standard_normal", 2), ("random", 1)), lambda z, u: u[0])
+        sampler = numkit.Sampler("random", 1, lambda u: u[0])
         with pytest.raises(ValueError, match="standard normals, not random"):
             numkit.rqmc_mean(sampler, seed=0)
 
@@ -222,10 +216,11 @@ class TestRows:
     @pytest.mark.parametrize("method", ["standard_normal", "random", "standard_exponential"])
     @pytest.mark.parametrize("k, m", [(3, numkit.MC_BATCH), (8, TAIL), (1, 5)])
     def test_generator_rows_are_the_transposed_draw(self, method, k, m):
-        # the rows are a group of mc_mean's draw buffer: a band of rows, cut
-        # to the batch's first m columns
+        # the rows are the first m columns of a wider buffer, as mc_mean's
+        # block is at a batch's tail (a block is a whole batch when
+        # KERNEL_BLOCK = MC_BATCH)
         assert self.TAIL % numkit._ROW_CHUNK
-        rows = np.zeros((k + 2, numkit.MC_BATCH))[1 : k + 1, :m]
+        rows = np.zeros((k, numkit.MC_BATCH))[:, :m]
         rng = np.random.default_rng(11)
         ref = np.random.default_rng(11)
         numkit._draw(rng, method, rows)
@@ -233,60 +228,77 @@ class TestRows:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_generator_rows_continue_the_stream_into_out(self):
-        # two groups of a batch tail, drawn in stream order into one buffer
-        sampler = numkit.Sampler((("standard_normal", 5), ("standard_normal", 3)), None)
-        first, second = sampler._split(np.empty((8, numkit.MC_BATCH))[:, : self.TAIL])
+        # a whole block and then a batch's tail, drawn in turn into one buffer
+        rows = np.empty((8, numkit.KERNEL_BLOCK))
         rng = np.random.default_rng(12)
         ref = np.random.default_rng(12)
-        numkit._draw(rng, "standard_normal", first)
-        numkit._draw(rng, "standard_normal", second)
-        np.testing.assert_array_equal(first, ref.standard_normal((self.TAIL, 5)).T)
-        np.testing.assert_array_equal(second, ref.standard_normal((self.TAIL, 3)).T)
+        numkit._draw(rng, "standard_normal", rows)
+        first = rows.copy()
+        numkit._draw(rng, "standard_normal", rows[:, : self.TAIL])
+        want = ref.standard_normal((numkit.KERNEL_BLOCK + self.TAIL, 8)).T
+        np.testing.assert_array_equal(first, want[:, : numkit.KERNEL_BLOCK])
+        np.testing.assert_array_equal(rows[:, : self.TAIL], want[:, numkit.KERNEL_BLOCK :])
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_lattice_serves_its_normals_rows_unchanged(self):
-        # the kernel sees each replicate's normals split by the groups
+        # the kernel sees each replicate's first k normals rows, block by block
         seen = []
 
-        def kernel(z, y):
-            seen.append((z.copy(), y.copy()))
+        def kernel(z):
+            seen.append(z.copy())
             return np.zeros(z.shape[1])
 
-        numkit.rqmc_mean(numkit.Sampler((("standard_normal", 3), ("standard_normal", 1)), kernel), 7)
+        numkit.rqmc_mean(numkit.Sampler("standard_normal", 3, kernel), 7)
         shift = np.random.default_rng(7).random((numkit.RQMC_REPLICATES, 4))[0]
         want = numkit._lattice_normals(numkit._lattice(4), shift)
         first = seen[: numkit.LATTICE_POINTS // numkit.KERNEL_BLOCK]  # the first replicate
-        np.testing.assert_array_equal(np.concatenate([z for z, _ in first], axis=1), want[:3])
-        np.testing.assert_array_equal(np.concatenate([y for _, y in first], axis=1), want[3:])
+        np.testing.assert_array_equal(np.concatenate(first, axis=1), want[:3])
 
 
 class TestByBlocks:
     @pytest.mark.parametrize("past", [-1, 0, 1])
     def test_blocks_cover_each_column_once(self, past):
         m = numkit.KERNEL_BLOCK + past
-        a, b = np.random.default_rng(14).standard_normal((3, m)), np.arange(m) / m
-        widths = []
+        seen = []
 
-        def kernel(x, y):
-            widths.append((x.shape[1], y.shape[1]))
-            return np.exp(x[0]) * x[1] - x[2] * y[0]
+        def kernel(x):
+            seen.append(x.copy())
+            return np.exp(x[0]) * x[1] - x[2]
 
-        got = numkit._weigh(kernel, [a, b[None]], np.empty(m))
-        np.testing.assert_array_equal(got, np.exp(a[0]) * a[1] - a[2] * b)
-        assert widths == [(w, w) for w in ([m] if past <= 0 else [numkit.KERNEL_BLOCK, 1])]
+        mean, _ = numkit.mc_mean(numkit.Sampler("random", 3, kernel), m, 14)
+        x = np.random.default_rng(14).random((m, 3)).T
+        np.testing.assert_array_equal(np.concatenate(seen, axis=1), x)
+        assert [b.shape[1] for b in seen] == ([m] if past <= 0 else [numkit.KERNEL_BLOCK, 1])
+        assert mean == pytest.approx((np.exp(x[0]) * x[1] - x[2]).mean(), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("block", [numkit.MC_BATCH, 5000])
+    @pytest.mark.parametrize("method, k", [("standard_normal", 7), ("random", 1),
+                                           ("standard_exponential", 30)])
+    def test_one_group_is_the_whole_draw_at_any_block(self, monkeypatch, method, k, block):
+        # mc_mean weighs rng.<method>((samples, k)) in stream order, the
+        # same bits whether a batch is one block or ends in a shorter one
+        assert numkit.MC_BATCH % 5000
+        seen = []
+
+        def kernel(x):
+            seen.append(x.copy())
+            return x.sum(axis=0)
+
+        sampler = numkit.Sampler(method, k, kernel)
+        blocked = numkit.mc_mean(sampler, 70_000, 13)
+        drawn = np.concatenate(seen, axis=1)
+        np.testing.assert_array_equal(
+            drawn, getattr(np.random.default_rng(13), method)((70_000, k)).T)
+        seen.clear()
+        monkeypatch.setattr(numkit, "KERNEL_BLOCK", block)
+        assert numkit.mc_mean(sampler, 70_000, 13) == blocked
+        np.testing.assert_array_equal(np.concatenate(seen, axis=1), drawn)
 
 
-def _batch_weights(sampler, samples, seed):
-    # the weights mc_mean sees, batch by batch from the one generator
+def _weights(sampler, samples, seed):
+    # the weights mc_mean sees: the kernel over the sampler's whole draw
     rng = np.random.default_rng(seed)
-    out = []
-    for done in range(0, samples, numkit.MC_BATCH):
-        m = min(numkit.MC_BATCH, samples - done)
-        groups = [np.empty((k, m)) for _, k in sampler.draws]
-        for (method, _), group in zip(sampler.draws, groups):
-            numkit._draw(rng, method, group)
-        out.append(numkit._weigh(sampler.kernel, groups, np.empty(m)))
-    return np.concatenate(out)
+    return sampler.kernel(getattr(rng, sampler.method)((samples, sampler.k)).T.copy())
 
 
 class TestMcMean:
@@ -296,29 +308,29 @@ class TestMcMean:
         spec = partition.KineticSpectrum(2, (1.0, 1.1), 1e-10)
         sampler = partition._matrix_sampler(spec)
         _, se = partition.z_mc_matrix(spec, 200_000, 3)
-        w = _batch_weights(sampler, 200_000, 3)
+        w = _weights(sampler, 200_000, 3)
         assert se == pytest.approx(sampler.scale * w.std() / math.sqrt(w.size), rel=0.01, abs=0)
 
     def test_batches_with_different_means(self):
         # lognormal weights exp(4 z): a few samples far in the tail set each
         # batch's mean, so the between-batch term counts
-        sampler = numkit.Sampler((("standard_normal", 1),), lambda z: np.exp(4.0 * z[0]))
+        sampler = numkit.Sampler("standard_normal", 1, lambda z: np.exp(4.0 * z[0]))
         mean, se = numkit.mc_mean(sampler, 200_000, 5)
-        w = _batch_weights(sampler, 200_000, 5)
+        w = _weights(sampler, 200_000, 5)
         batch_means = [b.mean() for b in np.split(w, [numkit.MC_BATCH * j for j in (1, 2, 3)])]
         assert max(batch_means) > 2.0 * min(batch_means)
         assert mean == pytest.approx(w.mean(), rel=1e-14)
         assert se == pytest.approx(w.std() / math.sqrt(w.size), rel=1e-12)
 
     def test_bool_weights_count_exactly(self):
-        sampler = numkit.Sampler((("random", 1),), lambda u: u[0] < 0.3)
+        sampler = numkit.Sampler("random", 1, lambda u: u[0] < 0.3)
         mean, se = numkit.mc_mean(sampler, 100_000, 2)
-        hits = int(_batch_weights(sampler, 100_000, 2).sum())
+        hits = int(_weights(sampler, 100_000, 2).sum())
         assert mean == hits / 100_000
         assert se == pytest.approx(math.sqrt(mean * (1.0 - mean) / 100_000), rel=1e-12)
 
     def test_scale(self):
-        sampler = numkit.Sampler((("random", 2),), lambda u: u[0] * u[1])
+        sampler = numkit.Sampler("random", 2, lambda u: u[0] * u[1])
         plain = numkit.mc_mean(sampler, 70_000, 6)
         scaled = numkit.mc_mean(dataclasses.replace(sampler, scale=-3.0), 70_000, 6)
         assert scaled == (-3.0 * plain[0], 3.0 * plain[1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import mpmath as mp
@@ -249,6 +250,19 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     assert se == pytest.approx(want_se, rel=1e-12, abs=0)
 
 
+def test_matrix_mc_holds_one_kernel_block_of_draws():
+    # 16 normals per sample at N = 4: a draw buffer for a whole
+    # 65,536-sample batch would take 8 MiB by itself
+    spec = KineticSpectrum(4, (1.0, 1.1, 1.2, 1.3), 0.1)
+    tracemalloc.start()
+    try:
+        z_mc_matrix(spec, 131_072, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def _trace_x4_with_diagonal_q(n, diag, re, im):
     """Tr X^4 as _trace_x4 sums it, but with Q_ii summed too (a reference)."""
     a = {(i, i): (1, diag[i]) for i in range(n)}
@@ -406,9 +420,13 @@ def test_eigen_weights_with_a_pole_past_the_first_block(monkeypatch):
     assert numkit.KERNEL_BLOCK <= 9000 < 2 * numkit.KERNEL_BLOCK
 
     kernel = partition._eigen_sampler(spec).kernel
-    # a copy each time: the kernel scales its rows in place
-    blocked, whole = _blocked_and_whole(
-        monkeypatch, lambda: numkit._weigh(kernel, [lam.copy()], np.empty(m)))
+
+    def run():
+        # a copy each time: the kernel scales its rows in place
+        return np.concatenate([kernel(lam[:, start : start + numkit.KERNEL_BLOCK].copy())
+                               for start in range(0, m, numkit.KERNEL_BLOCK)])
+
+    blocked, whole = _blocked_and_whole(monkeypatch, run)
     assert np.isfinite(blocked).all() and blocked[9000] != 0.0
     np.testing.assert_array_equal(blocked, whole)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -286,3 +287,16 @@ def test_volume_mc_same_bits_in_one_block(monkeypatch, key):
     blocked = sampler(DiagonalSpec(len(h), h), samples, seed)
     monkeypatch.setattr(numkit, "KERNEL_BLOCK", numkit.MC_BATCH)
     assert sampler(DiagonalSpec(len(h), h), samples, seed) == blocked
+
+
+def test_peel_holds_one_kernel_block_of_draws():
+    # 30 exponentials per sample at N = 9: a draw buffer for the whole
+    # 40,000-sample batch would take 9.2 MiB by itself
+    spec = DiagonalSpec(9, (0.52, 0.47, 0.5, 0.53, 0.49, 0.51, 0.48, 0.5, 0.46))
+    tracemalloc.start()
+    try:
+        mc_volume_peel(spec, 40_000, 92)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
