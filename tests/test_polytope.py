@@ -264,7 +264,7 @@ VOLUME_MC_PINS = {
     ("mc_volume_peel", (0.55, 0.5, 0.5, 0.45, 0.5), 70_000, 52):
         (0.0005796354136345633, 1.0523487825564742e-06),
     ("mc_volume_peel", (0.52, 0.47, 0.5, 0.53, 0.49, 0.51, 0.48, 0.5, 0.46), 70_000, 92):
-        (9.844182733220946e-25, 8.692229563504194e-27),
+        (9.834277566790948e-25, 8.70244298454188e-27),
 }
 
 
@@ -287,6 +287,47 @@ def test_volume_mc_same_bits_in_one_block(monkeypatch, key):
     blocked = sampler(DiagonalSpec(len(h), h), samples, seed)
     monkeypatch.setattr(numkit, "KERNEL_BLOCK", numkit.MC_BATCH)
     assert sampler(DiagonalSpec(len(h), h), samples, seed) == blocked
+
+
+def _peel_reference(h, samples, seed):
+    """(mean, stderr) of mc_volume_peel from a loop over the samples of one draw.
+
+    Each sample's exponentials are taken in turn: row N's N - 1 first and
+    row 5's 4 last.  A peeled row's entries become a uniform point of the
+    simplex whose sum is the row's residual, weighted by that simplex's
+    volume, and a sample that leaves a residual negative weighs 0; the four
+    residuals that are left weigh the exact N = 4 volume.
+    """
+    n = len(h)
+    draws = np.random.default_rng(seed).standard_exponential((samples, sum(range(4, n))))
+    weights = np.zeros(samples)
+    rest = np.zeros((4, samples))
+    for i, row in enumerate(draws.tolist()):
+        res = [1.0 - hj for hj in h]
+        w = 1.0
+        for r in range(n, 4, -1):
+            m = r - 1
+            g, row = row[:m], row[m:]
+            s = res[m]
+            scale = s / sum(g)
+            res[:m] = [left - gj * scale for left, gj in zip(res[:m], g)]
+            if min(res[:m]) < 0.0:
+                break
+            w *= s ** (m - 1) / math.factorial(m - 1)
+        else:
+            weights[i] = w
+            rest[:, i] = res[:4]
+    weights *= _exact_volume_n4_rowsum(rest)
+    return weights.mean(), weights.std() / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("key", [key for key in sorted(VOLUME_MC_PINS) if key[0] == "mc_volume_peel"])
+def test_volume_peel_pins_match_a_per_sample_loop(key):
+    _, h, samples, seed = key
+    mean, se = _peel_reference(h, samples, seed)
+    want_mean, want_se = VOLUME_MC_PINS[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
+    assert se == pytest.approx(want_se, rel=1e-12, abs=0)
 
 
 def test_peel_holds_one_kernel_block_of_draws():
