@@ -50,7 +50,8 @@ class LogValue:
 # ---------------------------------------------------------------------------
 # seeded Monte Carlo
 
-#: samples per batch of the mean and variance update
+#: samples per batch of the mean and variance update; the seeded outputs
+#: depend on it
 MC_BATCH = 1 << 16
 #: samples per draw into _draw's scratch block before it is transposed
 _ROW_CHUNK = 1 << 12
