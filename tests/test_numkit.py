@@ -217,8 +217,8 @@ class TestRows:
     @pytest.mark.parametrize("k, m", [(3, numkit.MC_BATCH), (8, TAIL), (1, 5)])
     def test_generator_rows_are_the_transposed_draw(self, method, k, m):
         # the rows are the first m columns of a wider buffer, as mc_mean's
-        # block is at a batch's tail (a block is a whole batch when
-        # KERNEL_BLOCK = MC_BATCH)
+        # block is at a batch's tail; m reaches MC_BATCH when
+        # KERNEL_BLOCK = MC_BATCH
         assert self.TAIL % numkit._ROW_CHUNK
         rows = np.zeros((k, numkit.MC_BATCH))[:, :m]
         rng = np.random.default_rng(11)
