@@ -10,9 +10,13 @@ lives in the project notes); they are never silently skipped or loosened.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
@@ -595,14 +599,106 @@ SUITES = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork or CPU affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _work(claims: int, cfg: RunConfig) -> dict[int, list[CheckResult] | Exception]:
+    """Run the criteria claimed one byte at a time from the pipe `claims`, up to EOF.
+
+    A criterion that raises keeps its exception as its result and empties
+    the pipe, for every worker: each number still in it is higher, so a
+    serial run would not have reached it.
+    """
+    done: dict[int, list[CheckResult] | Exception] = {}
+    while claim := os.read(claims, 1):
+        try:
+            done[claim[0]] = CRITERIA[claim[0]](cfg)
+        except Exception as exc:  # re-raised by the caller, in criterion order
+            done[claim[0]] = exc
+            while os.read(claims, 256):
+                pass
+    return done
+
+
+def _worker(claims: int, out: int, cfg: RunConfig) -> NoReturn:
+    """A forked worker: pickle its criteria's results to the pipe `out` and exit.
+
+    It leaves through os._exit on every path, so it never unwinds into the
+    caller's stack and never flushes buffers it shares with the caller.  An
+    exception loses its traceback in the pickle; run under `taskset -c 0`,
+    the gate forks nothing and keeps it.
+    """
+    code = 1
+    try:
+        with open(out, "wb") as pipe:
+            pipe.write(pickle.dumps(_work(claims, cfg)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_acceptance(cfg: RunConfig, suite: str | None = None) -> list[CheckResult]:
+    """The clauses of the suite's criteria (all by default), in criterion order.
+
+    The criterion numbers go into one pipe as bytes.  The caller and one
+    forked worker per further usable CPU each claim the next criterion by
+    reading one byte.  The criteria share no state and each seeds itself
+    from `cfg` alone, so the results, and the exception of the
+    lowest-numbered criterion that raised, are those of a serial run; one
+    worker forks nothing.  Every forked worker is reaped before this
+    returns or raises.
+    """
     if suite is None:
         numbers = sorted(CRITERIA)
     else:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
         numbers = list(SUITES[suite])
+    claims, feed = os.pipe()
+    os.write(feed, bytes(numbers))
+    os.close(feed)
+    readers: dict[int, int] = {}  # forked worker's pid -> read end of its result pipe
+    payloads: dict[int, bytes] = {}
+    lost: list[str] = []
+    try:
+        for _ in range(min(len(numbers), _usable_cpus()) - 1):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: the workers started suffice
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:
+                _worker(claims, writer, cfg)
+            os.close(writer)
+            readers[pid] = reader
+        done = _work(claims, cfg)
+        for pid, reader in readers.items():
+            with open(reader, "rb", closefd=False) as pipe:
+                payloads[pid] = pipe.read()
+    finally:
+        os.close(claims)
+        for pid, reader in readers.items():
+            os.close(reader)
+            if pid not in payloads:  # the caller was interrupted: stop the worker
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:  # its payload, if any, may be cut short
+                payloads.pop(pid, None)
+                lost.append(f"a worker was killed by {signal.Signals(-code).name}" if code < 0
+                            else f"a worker exited with code {code}")
+    for payload in payloads.values():
+        done.update(pickle.loads(payload))
     results: list[CheckResult] = []
     for num in numbers:
-        results.extend(CRITERIA[num](cfg))
+        if num not in done:
+            raise ChildProcessError(f"criterion {num} has no result: {'; '.join(lost)}")
+        if isinstance(done[num], Exception):
+            raise done[num]
+        results.extend(done[num])
     return results

@@ -2,7 +2,8 @@
 
 Output formats: text (default), json (sorted keys, deterministic byte
 stream for identical argv+config), csv (header row).  Exit codes: 0 ok /
-all checks pass, 1 numerical failure, 2 usage error or rejected input.
+all checks pass, 1 numerical failure (or a lost `verify` worker), 2 usage
+error or rejected input.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # the library rejected its input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, ChildProcessError) as exc:  # ChildProcessError: a lost gate worker
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

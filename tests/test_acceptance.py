@@ -7,14 +7,20 @@ analysis in their reports; everything else must pass.
 """
 
 import math
+import os
+import signal
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qmm import partition, polytope
-from qmm.acceptance import _sigmas, check_5, check_11, run_acceptance
+from qmm import acceptance, partition, polytope
+from qmm.acceptance import CRITERIA, SUITES, CheckResult, _sigmas, check_5, check_11, run_acceptance
+from qmm.cli import main
 from qmm.config import RunConfig
+from qmm.counting import InstanceTooLarge
+from qmm.orthopoly import QuasiDefiniteError
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +144,153 @@ def test_haar_clause_with_zero_stderr(monkeypatch):
     monkeypatch.setattr(partition, "hciz_haar_mc2", lambda *args, seed: (value * (1 + 1e-9), 0.0))
     clause = next(r for r in check_11(RunConfig()) if "Haar" in r.clause)
     assert not clause.passed and "inf sigma" in clause.detail, clause.detail
+
+
+# ---------------------------------------------------------------------------
+# the criteria run on forked workers
+
+
+def assert_no_child_left():
+    # raises only once no child, running or zombie, is left to reap
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 3], ids=["in-process", "forked"])
+@pytest.mark.parametrize("suite", [None, "count", "asym"], ids=["gate", "count", "asym"])
+def test_workers_give_the_serial_results(monkeypatch, suite, workers):
+    # 3 workers fork on any host; "asym" has one criterion and forks nothing
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: workers)
+    cfg = RunConfig()
+    numbers = sorted(CRITERIA) if suite is None else SUITES[suite]
+    assert run_acceptance(cfg, suite) == [r for n in numbers for r in CRITERIA[n](cfg)]
+    assert_no_child_left()
+
+
+def test_more_workers_than_cores_run_each_criterion_once(monkeypatch):
+    # a claim lost or made twice would drop or repeat a criterion
+    def fake(num):
+        return lambda cfg: [CheckResult(num, "ran", "", True, "")]
+
+    for num in CRITERIA:
+        monkeypatch.setitem(CRITERIA, num, fake(num))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 8)
+    for _ in range(20):
+        assert [r.criterion for r in run_acceptance(RunConfig())] == sorted(CRITERIA)
+    assert_no_child_left()
+
+
+def _raises(exc, delay=0.0):
+    def criterion(cfg):
+        time.sleep(delay)
+        raise exc
+
+    return criterion
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "forked"])
+def test_lowest_raising_criterion_wins(capsys, monkeypatch, workers):
+    # criterion 5 raises after criterion 12 has, as a serial run meets it first
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: workers)
+    monkeypatch.setitem(CRITERIA, 5, _raises(QuasiDefiniteError("criterion 5 broke"), delay=0.2))
+    monkeypatch.setitem(CRITERIA, 12, _raises(InstanceTooLarge("criterion 12 broke")))
+    with pytest.raises(QuasiDefiniteError) as raised:
+        run_acceptance(RunConfig())
+    assert str(raised.value) == "criterion 5 broke"
+    assert_no_child_left()
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: criterion 5 broke\n"
+    assert_no_child_left()
+
+
+def _wait_for(marker):
+    deadline = time.monotonic() + 30
+    while not marker.exists():
+        assert time.monotonic() < deadline, f"{marker.name} never appeared"
+        time.sleep(0.01)
+
+
+def _fork_side(marker, in_worker, in_caller):
+    """A criterion that runs `in_worker` in a forked worker; the caller's copy
+    waits until a worker has claimed one, then runs `in_caller`."""
+    caller = os.getpid()
+
+    def criterion(cfg):
+        if os.getpid() != caller:
+            marker.touch()
+            return in_worker()
+        _wait_for(marker)
+        return in_caller()
+
+    return criterion
+
+
+def test_lower_criterion_raising_later_in_a_worker_wins(monkeypatch, tmp_path):
+    # the caller's first criterion passes once a worker holds the next one;
+    # the caller raises on the third, before the worker raises on its lower one
+    caller, claimed, raised = os.getpid(), tmp_path / "claimed", tmp_path / "raised"
+    calls = []
+
+    def fake(num):
+        def criterion(cfg):
+            if os.getpid() != caller:
+                claimed.touch()
+                _wait_for(raised)
+                raise QuasiDefiniteError(f"criterion {num} broke")
+            calls.append(num)
+            if len(calls) == 1:
+                _wait_for(claimed)
+                return []
+            raised.touch()
+            raise InstanceTooLarge(f"criterion {num} broke")
+
+        return criterion
+
+    for num in SUITES["count"]:
+        monkeypatch.setitem(CRITERIA, num, fake(num))
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    with pytest.raises(QuasiDefiniteError) as caught:
+        run_acceptance(RunConfig(), "count")
+    assert str(caught.value) in ("criterion 1 broke", "criterion 2 broke")
+    assert_no_child_left()
+
+
+def test_killed_worker_is_one_error_line(capsys, monkeypatch, tmp_path):
+    die = _fork_side(tmp_path / "claimed", lambda: os.kill(os.getpid(), signal.SIGKILL), list)
+    for num in SUITES["count"]:
+        monkeypatch.setitem(CRITERIA, num, die)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    assert main(["verify", "--suite", "count"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: criterion ")
+    assert err[0].endswith(" has no result: a worker was killed by SIGKILL")
+    assert_no_child_left()
+
+
+def test_interrupted_caller_stops_its_workers(monkeypatch, tmp_path):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    stall = _fork_side(tmp_path / "claimed", lambda: time.sleep(60), interrupt)
+    for num in SUITES["count"]:
+        monkeypatch.setitem(CRITERIA, num, stall)
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_acceptance(RunConfig(), "count")
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_failed_fork_runs_on_the_workers_started(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = RunConfig()
+    assert run_acceptance(cfg, "count") == [r for n in SUITES["count"] for r in CRITERIA[n](cfg)]
