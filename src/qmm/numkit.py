@@ -152,42 +152,76 @@ LATTICE_MAX_DIM = 10
 RQMC_REPLICATES = 16
 
 
-def _lattice(dim: int) -> np.ndarray:
-    """The points j (1, a, a^2, ...) / n mod 1 of the Korobov lattice, one row per coordinate."""
-    gen = np.array([pow(KOROBOV_A, j, LATTICE_POINTS) for j in range(dim)])
-    return gen[:, None] * np.arange(LATTICE_POINTS) % LATTICE_POINTS / LATTICE_POINTS
+class _LatticeNormals:
+    """Standard normals at the Korobov lattice points under a shift, one block of columns at a time.
 
-
-def _lattice_normals(points: np.ndarray, shift) -> np.ndarray:
-    """Standard normals at the lattice points under this shift, one row per coordinate.
-
-    The tent transform 1 - |2u - 1| folds each shifted coordinate u, and
-    Box-Muller turns coordinates 2i and 2i+1 into rows 2i and 2i+1, so the
-    lattice has an even number of coordinates.  A radial coordinate at
-    exactly 0 is read as 2^-53, the smallest positive value rng.random
-    returns, so every normal is finite (|z| <= 8.6).
+    The points are p = k / n, k = j (1, a, a^2, ...) mod n, one row per
+    coordinate.  The tent transform 1 - |2v - 1| folds each shifted
+    coordinate v = frac(p + s), and Box-Muller turns coordinates 2i and
+    2i+1 into rows 2i and 2i+1, so the lattice has an even number of
+    coordinates.  A radial coordinate at exactly 0 is read as 2^-53, the
+    smallest positive value rng.random returns, so every normal is finite
+    (|z| <= 8.6).  The angle 2 pi tent(v) is never formed: its cosine is
+    cos(4 pi v), and its sine is sin(4 pi v) for v < 1/2 and -sin(4 pi v)
+    otherwise, which is the imaginary part of exp(-4 pi i v) times the
+    sign of 2v - 1.  exp(-4 pi i v) = exp(-4 pi i k / n) exp(-4 pi i s):
+    one table of n values gathered by k when the lattice is built, turned
+    by two scalar trig calls per angle coordinate and shift, where plain
+    Box-Muller takes two trig calls per point.  Each block of at most
+    KERNEL_BLOCK columns is built into one reused buffer.
     """
-    u = points + np.asarray(shift)[:, None]
-    u -= np.floor(u)
-    u *= 2.0
-    u -= 1.0
-    np.abs(u, out=u)
-    np.subtract(1.0, u, out=u)
-    radius = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0**-53)))
-    angle = 2.0 * math.pi * u[1::2]
-    u[0::2] = radius * np.cos(angle)
-    u[1::2] = radius * np.sin(angle)
-    return u
+
+    def __init__(self, dim: int):
+        n = LATTICE_POINTS
+        gen = np.array([pow(KOROBOV_A, j, n) for j in range(dim)])
+        index = gen[:, None] * np.arange(n) % n
+        self.points = index / n
+        angle = 4.0 * math.pi / n * np.arange(n)
+        self.turns = (np.cos(angle) - 1j * np.sin(angle))[index[1::2]]
+        width = min(KERNEL_BLOCK, n)
+        self.z = np.empty((dim, width))
+        self.floor = np.empty((dim, width))
+        self.turned = np.empty((dim // 2, width), dtype=complex)
+
+    def blocks(self, shift: np.ndarray):
+        """Yield (cols, z), the normals of the lattice columns cols under this shift.
+
+        z is a view of the reused buffer, overwritten by the next block.
+        """
+        n, width = LATTICE_POINTS, self.z.shape[1]
+        turn = np.exp(-4j * math.pi * shift[1::2])[:, None]
+        shift = shift[:, None]
+        for start in range(0, n, width):
+            cols = slice(start, min(start + width, n))
+            m = cols.stop - start
+            z, floor, turned = self.z[:, :m], self.floor[:, :m], self.turned[:, :m]
+            np.add(self.points[:, cols], shift, out=z)
+            np.floor(z, out=floor)
+            z -= floor
+            z *= 2.0
+            z -= 1.0  # 2v - 1, negative for v < 1/2
+            radius = z[0::2]
+            np.abs(radius, out=radius)
+            np.subtract(1.0, radius, out=radius)
+            np.maximum(radius, 2.0**-53, out=radius)
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            np.multiply(self.turns[:, cols], turn, out=turned)  # exp(-4 pi i v)
+            np.copysign(radius, z[1::2], out=z[1::2])
+            radius *= turned.real
+            z[1::2] *= turned.imag
+            yield cols, z
 
 
 def rqmc_mean(sampler: Sampler, seed: int) -> tuple[float, float]:
     """Randomised quasi-Monte Carlo estimate of scale * E[weight], as (value, stderr).
 
     The sampler draws 1 to LATTICE_MAX_DIM standard normals per point.
-    Its kernel weighs the (k, LATTICE_POINTS) normals of the Korobov
-    lattice under each of RQMC_REPLICATES uniform shifts from
-    default_rng(seed), one replicate at a time, KERNEL_BLOCK columns at a
-    time.  The estimate is scale times the mean of the replicate means,
+    Its kernel weighs the first k rows of _LatticeNormals under each of
+    RQMC_REPLICATES uniform shifts from default_rng(seed), one replicate
+    at a time, each block of KERNEL_BLOCK columns as soon as it is built.
+    The estimate is scale times the mean of the replicate means,
     the stderr |scale| times their standard deviation over
     sqrt(RQMC_REPLICATES).
     """
@@ -196,16 +230,14 @@ def rqmc_mean(sampler: Sampler, seed: int) -> tuple[float, float]:
         raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {k}")
     if sampler.method != "standard_normal":
         raise ValueError(f"the lattice serves standard normals, not {sampler.method}")
-    points = _lattice(k + k % 2)  # Box-Muller takes coordinates in pairs
-    rng = np.random.default_rng(seed)
-    shifts = rng.random((RQMC_REPLICATES, len(points)))
+    dim = k + k % 2  # Box-Muller takes coordinates in pairs
+    lattice = _LatticeNormals(dim)
+    shifts = np.random.default_rng(seed).random((RQMC_REPLICATES, dim))
     weights = np.empty(LATTICE_POINTS)
     means = np.empty(RQMC_REPLICATES)
     for r, shift in enumerate(shifts):
-        z = _lattice_normals(points, shift)[:k]
-        for start in range(0, LATTICE_POINTS, KERNEL_BLOCK):
-            cols = slice(start, start + KERNEL_BLOCK)
-            weights[cols] = sampler.kernel(z[:, cols])
+        for cols, z in lattice.blocks(shift):
+            weights[cols] = sampler.kernel(z[:k])
         means[r] = float(weights.mean())
     se = float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
     return sampler.scale * float(means.mean()), abs(sampler.scale) * se

@@ -167,6 +167,25 @@ def _gauss_sampler(a, d):
     return numkit.Sampler("standard_normal", d, kernel)
 
 
+def _lattice_normals(lattice, shift):
+    # every block of the lattice's normals under this shift, side by side
+    return np.concatenate([z.copy() for _, z in lattice.blocks(shift)], axis=1)
+
+
+def _box_muller_reference(dim, shift):
+    # the tent-folded shifted lattice through Box-Muller, one cos and sin per point
+    n = numkit.LATTICE_POINTS
+    gen = np.array([pow(numkit.KOROBOV_A, j, n) for j in range(dim)])
+    u = gen[:, None] * np.arange(n) % n / n + shift[:, None]
+    u -= np.floor(u)
+    tent = 1.0 - np.abs(2.0 * u - 1.0)
+    radius = np.sqrt(-2.0 * np.log(np.maximum(tent[0::2], 2.0**-53)))
+    z = np.empty((dim, n))
+    z[0::2] = radius * np.cos(2.0 * np.pi * tent[1::2])
+    z[1::2] = radius * np.sin(2.0 * np.pi * tent[1::2])
+    return z
+
+
 class TestRqmcMean:
     def test_gaussian_integral(self):
         d, a = 4, 0.3
@@ -203,10 +222,22 @@ class TestRqmcMean:
 
     def test_point_at_zero_gives_finite_normals(self):
         # the unshifted lattice holds the origin, where Box-Muller takes log 0
-        z = numkit._lattice_normals(numkit._lattice(4), np.zeros(4))
+        z = _lattice_normals(numkit._LatticeNormals(4), np.zeros(4))
         assert z.shape == (4, numkit.LATTICE_POINTS)
         assert np.isfinite(z).all()
         assert np.abs(z).max() <= 8.6
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+    def test_rotated_normals_are_box_muller_on_the_tent(self, dim):
+        # v = 0 and v = 1/2 fall on columns 0 and n/2 (where every p is 0
+        # or 1/2) under shifts 0 and 1/2; the shift just below 1/2 puts
+        # column 0 just short of the sign change of the angle's sine; with
+        # 20 seeded shifts per dimension, 100 in all
+        edges = [np.zeros(dim), np.full(dim, 0.5), np.full(dim, np.nextafter(0.5, 0.0))]
+        lattice = numkit._LatticeNormals(dim)
+        for shift in edges + list(np.random.default_rng(dim).random((20, dim))):
+            np.testing.assert_allclose(_lattice_normals(lattice, shift),
+                                       _box_muller_reference(dim, shift), rtol=0, atol=1e-13)
 
 
 class TestRows:
@@ -250,9 +281,9 @@ class TestRows:
 
         numkit.rqmc_mean(numkit.Sampler("standard_normal", 3, kernel), 7)
         shift = np.random.default_rng(7).random((numkit.RQMC_REPLICATES, 4))[0]
-        want = numkit._lattice_normals(numkit._lattice(4), shift)
         first = seen[: numkit.LATTICE_POINTS // numkit.KERNEL_BLOCK]  # the first replicate
-        np.testing.assert_array_equal(np.concatenate(first, axis=1), want[:3])
+        want = _lattice_normals(numkit._LatticeNormals(4), shift)[:3]
+        np.testing.assert_array_equal(np.concatenate(first, axis=1), want)
 
 
 class TestByBlocks:

@@ -427,15 +427,30 @@ def test_matrix_mc_same_bits_in_one_block(monkeypatch, n, samples):
     assert blocked == whole
 
 
-@pytest.mark.parametrize("run", [
+RQMC_RUNS = [
     lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 53),
     lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.0, 1.0), 0.1), 54),
     lambda: z_rqmc_matrix(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 55),
-], ids=["eigen-det", "eigen-equal", "matrix"])
+]
+RQMC_IDS = ["eigen-det", "eigen-equal", "matrix"]
+
+
+@pytest.mark.parametrize("run", RQMC_RUNS, ids=RQMC_IDS)
 def test_rqmc_same_bits_in_one_block(monkeypatch, run):
+    # KERNEL_BLOCK = MC_BATCH is wider than the lattice: one block per replicate
     assert numkit.LATTICE_POINTS > numkit.KERNEL_BLOCK
     blocked, whole = _blocked_and_whole(monkeypatch, run)
     assert blocked == whole
+
+
+@pytest.mark.parametrize("run", RQMC_RUNS, ids=RQMC_IDS)
+def test_rqmc_same_bits_with_a_short_last_block(monkeypatch, run):
+    # 5,000 does not divide the lattice: each replicate ends in a short
+    # block, built in the first columns of the reused buffer
+    assert numkit.LATTICE_POINTS % 5000
+    blocked = run()
+    monkeypatch.setattr(numkit, "KERNEL_BLOCK", 5000)
+    assert run() == blocked
 
 
 def test_eigen_weights_with_a_pole_past_the_first_block(monkeypatch):
