@@ -453,10 +453,11 @@ def check_11(cfg: RunConfig) -> list[CheckResult]:
     ok_zf = abs(zf - 14.142) <= 0.001
     coupled = partition.KineticSpectrum(2, (1.0, 1.1), 0.1)
     quad, quad_err = partition.z_quad_n2(coupled)
-    est_m, se_m = partition.z_rqmc_matrix(coupled, seed=cfg.seed)
+    # 4 and 3 normals: both samplers weigh each block of one 4-D lattice pass
+    (est_m, se_m), (est_e, se_e) = numkit.rqmc_mean(
+        [partition.matrix_sampler(coupled), partition.eigen_sampler(spec)], cfg.seed)
     sigmas = _sigmas(est_m, quad, se_m)
     ok_m = abs(est_m - quad) / quad <= 0.02 and sigmas <= 4.0
-    est_e, se_e = partition.z_rqmc_eigen(spec, seed=cfg.seed)
     sigmas_e = _sigmas(est_e, zf, se_e)
     ok_e = abs(est_e - zf) / zf <= 0.03 and sigmas_e <= 4.0
     f = partition.hciz_value((0.0, 1.0), (0.0, 1.0), 1.0)

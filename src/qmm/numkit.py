@@ -168,13 +168,14 @@ class _LatticeNormals:
     one table of n values gathered by k when the lattice is built, turned
     by two scalar trig calls per angle coordinate and shift, where plain
     Box-Muller takes two trig calls per point.  Each block of at most
-    KERNEL_BLOCK columns is built into one reused buffer.
+    KERNEL_BLOCK columns is built into one reused buffer; work is a second
+    buffer of its shape, for a caller's copy of a block.
     """
 
     def __init__(self, dim: int):
         n = LATTICE_POINTS
         gen = np.array([pow(KOROBOV_A, j, n) for j in range(dim)])
-        index = gen[:, None] * np.arange(n) % n
+        index = gen[:, None] * np.arange(n) & (n - 1)  # mod n: n is a power of two
         self.points = index / n
         angle = 4.0 * math.pi / n * np.arange(n)
         self.turns = (np.cos(angle) - 1j * np.sin(angle))[index[1::2]]
@@ -182,6 +183,10 @@ class _LatticeNormals:
         self.z = np.empty((dim, width))
         self.floor = np.empty((dim, width))
         self.turned = np.empty((dim // 2, width), dtype=complex)
+        # allocated here, not once the lattice's temporaries are freed: there
+        # it left glibc trimming and re-faulting heap on every block (9,344
+        # against 833 minor faults per warm eigen-sampler call)
+        self.work = np.empty((dim, width))
 
     def blocks(self, shift: np.ndarray):
         """Yield (cols, z), the normals of the lattice columns cols under this shift.
@@ -214,33 +219,48 @@ class _LatticeNormals:
             yield cols, z
 
 
-def rqmc_mean(sampler: Sampler, seed: int) -> tuple[float, float]:
-    """Randomised quasi-Monte Carlo estimate of scale * E[weight], as (value, stderr).
+def rqmc_mean(samplers: list[Sampler], seed: int) -> list[tuple[float, float]]:
+    """Randomised quasi-Monte Carlo estimates of each scale * E[weight], as (value, stderr).
 
-    The sampler draws 1 to LATTICE_MAX_DIM standard normals per point.
-    Its kernel weighs the first k rows of _LatticeNormals under each of
-    RQMC_REPLICATES uniform shifts from default_rng(seed), one replicate
-    at a time, each block of KERNEL_BLOCK columns as soon as it is built.
-    The estimate is scale times the mean of the replicate means,
-    the stderr |scale| times their standard deviation over
-    sqrt(RQMC_REPLICATES).
+    Each sampler draws 1 to LATTICE_MAX_DIM standard normals per point, and
+    all of them one lattice dimension k + k % 2.  The lattice is built once:
+    under each of RQMC_REPLICATES uniform shifts from default_rng(seed), one
+    replicate at a time, each block of KERNEL_BLOCK columns is handed to
+    every kernel as soon as it is built, each kernel weighing its first k
+    rows.  A kernel may overwrite its block, so every sampler but the last
+    weighs a copy in one reused work buffer; each value is that of a call
+    with its sampler alone.  An estimate is scale times the mean of the
+    replicate means, its stderr |scale| times their standard deviation
+    over sqrt(RQMC_REPLICATES).
     """
-    k = sampler.k
-    if not 1 <= k <= LATTICE_MAX_DIM:
-        raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {k}")
-    if sampler.method != "standard_normal":
-        raise ValueError(f"the lattice serves standard normals, not {sampler.method}")
-    dim = k + k % 2  # Box-Muller takes coordinates in pairs
+    dims = set()
+    for sampler in samplers:
+        k = sampler.k
+        if not 1 <= k <= LATTICE_MAX_DIM:
+            raise ValueError(f"the lattice serves 1 to {LATTICE_MAX_DIM} normals, got {k}")
+        if sampler.method != "standard_normal":
+            raise ValueError(f"the lattice serves standard normals, not {sampler.method}")
+        dims.add(k + k % 2)  # Box-Muller takes coordinates in pairs
+    if len(dims) != 1:
+        raise ValueError(f"the samplers must share one lattice dimension, got {sorted(dims)}")
+    dim = dims.pop()
     lattice = _LatticeNormals(dim)
     shifts = np.random.default_rng(seed).random((RQMC_REPLICATES, dim))
-    weights = np.empty(LATTICE_POINTS)
-    means = np.empty(RQMC_REPLICATES)
+    weights = np.empty((len(samplers), LATTICE_POINTS))
+    means = np.empty((len(samplers), RQMC_REPLICATES))
+    last = len(samplers) - 1
     for r, shift in enumerate(shifts):
         for cols, z in lattice.blocks(shift):
-            weights[cols] = sampler.kernel(z[:k])
-        means[r] = float(weights.mean())
-    se = float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES)
-    return sampler.scale * float(means.mean()), abs(sampler.scale) * se
+            for i, sampler in enumerate(samplers):
+                x = z[: sampler.k]
+                if i < last:  # the kernel may overwrite x; z stays for the next one
+                    x = lattice.work[: sampler.k, : x.shape[1]]
+                    x[...] = z[: sampler.k]
+                weights[i, cols] = sampler.kernel(x)
+        means[:, r] = [w.mean() for w in weights]  # each row alone, as with one sampler
+    root = math.sqrt(RQMC_REPLICATES)
+    return [(s.scale * float(row.mean()), abs(s.scale) * (float(row.std(ddof=1)) / root))
+            for s, row in zip(samplers, means)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .detkit import det_rows, exp_kernel_ratio, vandermonde_det
-from .numkit import LogValue, Sampler, mc_mean, power_sums, rqmc_mean, trapezoid
+from .numkit import LogValue, Sampler, mc_mean, power_sums, trapezoid
 from .orthopoly import quartic_r_sequence
 
 _COLLISION_RTOL = 1e-8
@@ -196,7 +196,7 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
     return -0.5 * math.pi * float(value), 0.5 * math.pi * float(err)
 
 
-def _eigen_sampler(spec: KineticSpectrum) -> Sampler:
+def eigen_sampler(spec: KineticSpectrum) -> Sampler:
     """The importance-sampled eigenvalue-reduced integral as a Sampler.
 
     Proposal: independent normals matched to the softest eigenvalue
@@ -232,12 +232,7 @@ def _eigen_sampler(spec: KineticSpectrum) -> Sampler:
 
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:
     """Importance-sampled MC of the eigenvalue-reduced partition function."""
-    return mc_mean(_eigen_sampler(spec), samples, seed)
-
-
-def z_rqmc_eigen(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
-    """z_mc_eigen's sampler on numkit.rqmc_mean's shifted lattice (N <= 10)."""
-    return rqmc_mean(_eigen_sampler(spec), seed)
+    return mc_mean(eigen_sampler(spec), samples, seed)
 
 
 def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -297,7 +292,7 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
     return tr
 
 
-def _matrix_sampler(spec: KineticSpectrum) -> Sampler:
+def matrix_sampler(spec: KineticSpectrum) -> Sampler:
     """The integral over Hermitian matrices as a Sampler.
 
     The proposal is the exact g=0 Gaussian: the quadratic form is diagonal
@@ -327,12 +322,7 @@ def z_mc_matrix(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, 
 
     At g = 0 this is z_free exactly, with stderr 0.  Deterministic per seed.
     """
-    return mc_mean(_matrix_sampler(spec), samples, seed)
-
-
-def z_rqmc_matrix(spec: KineticSpectrum, seed: int) -> tuple[float, float]:
-    """z_mc_matrix's sampler on numkit.rqmc_mean's shifted lattice (N <= 3)."""
-    return rqmc_mean(_matrix_sampler(spec), seed)
+    return mc_mean(matrix_sampler(spec), samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +345,20 @@ def hciz_haar_mc2(x, y, t: float, samples: int, seed: int) -> tuple[float, float
     For diagonal X, Y only p = |U_11|^2 = cos^2 theta enters (the phases
     drop out).  Under Haar on U(2) theta has the sin(2 theta) density, so
     sin^2 theta is uniform on [0,1] and p = 1 - u for a uniform draw u.
+    The exponent t (x_0 y_0 p + x_0 y_1 (1 - p) + x_1 y_0 (1 - p) + x_1 y_1 p)
+    is then a + b u with a = t (x_0 y_0 + x_1 y_1) and
+    b = t (x_0 y_1 + x_1 y_0) - a.
     """
     if len(x) != 2 or len(y) != 2:
         raise ValueError("Haar cross-check implemented for N = 2")
+    a = t * (x[0] * y[0] + x[1] * y[1])
+    b = t * (x[0] * y[1] + x[1] * y[0]) - a
 
     def kernel(u):
-        p = 1.0 - u[0]
-        q = 1.0 - p
-        return np.exp(
-            t
-            * (
-                x[0] * y[0] * p
-                + x[0] * y[1] * q
-                + x[1] * y[0] * q
-                + x[1] * y[1] * p
-            )
-        )
+        u = u[0]
+        u *= b
+        u += a
+        return np.exp(u, out=u)
 
     return mc_mean(Sampler("random", 1, kernel), samples, seed)
 

@@ -125,6 +125,13 @@ def mc_volume(
     tests.append(([i for i, pair in enumerate(pairs) if 3 not in pair], half - u[0] - u[2],
                   np.greater_equal))
     tests.append((range(len(pairs)), half - u[0], np.less_equal))
+    # one test per column set and comparison, against the tighter bound (at
+    # N = 4, u_14 and u_23 both bound the sum of both free entries from above)
+    bounds = {}
+    for cols, bound, test in tests:
+        key = (tuple(cols), test)
+        tighter = min if test is np.less_equal else max
+        bounds[key] = tighter(bounds.get(key, bound), bound)
 
     def kernel(x):  # one row per free entry
         x *= box[:, None]
@@ -132,7 +139,7 @@ def mc_volume(
         ok = np.ones(m, dtype=bool)
         acc = np.empty(m)
         hit = np.empty(m, dtype=bool)
-        for cols, bound, test in tests:
+        for (cols, test), bound in bounds.items():
             # the sum of the entries' rows, left to right
             total = x[cols[0]]
             for j in cols[1:]:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qmm import acceptance, partition, polytope
+from qmm import acceptance, numkit, partition, polytope
 from qmm.acceptance import CRITERIA, SUITES, CheckResult, _sigmas, check_5, check_11, run_acceptance
 from qmm.cli import main
 from qmm.config import RunConfig
@@ -144,6 +144,20 @@ def test_haar_clause_with_zero_stderr(monkeypatch):
     monkeypatch.setattr(partition, "hciz_haar_mc2", lambda *args, seed: (value * (1 + 1e-9), 0.0))
     clause = next(r for r in check_11(RunConfig()) if "Haar" in r.clause)
     assert not clause.passed and "inf sigma" in clause.detail, clause.detail
+
+
+def test_rqmc_clauses_share_one_lattice(monkeypatch):
+    built = []
+
+    class Counted(numkit._LatticeNormals):
+        def __init__(self, dim):
+            built.append(dim)
+            super().__init__(dim)
+
+    monkeypatch.setattr(numkit, "_LatticeNormals", Counted)
+    results = check_11(RunConfig())
+    assert built == [4]
+    assert all(r.passed for r in results if "RQMC" in r.clause)
 
 
 # ---------------------------------------------------------------------------

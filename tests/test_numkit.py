@@ -189,36 +189,63 @@ def _box_muller_reference(dim, shift):
 class TestRqmcMean:
     def test_gaussian_integral(self):
         d, a = 4, 0.3
-        mean, se = numkit.rqmc_mean(_gauss_sampler(a, d), seed=3)
+        [(mean, se)] = numkit.rqmc_mean([_gauss_sampler(a, d)], seed=3)
         assert 0.0 < se
         assert abs(mean - (1.0 + 2.0 * a) ** (-d / 2)) <= 4.0 * se
 
     def test_stderr_far_below_plain_mc(self):
         d, a = 4, 0.3
         evaluations = numkit.LATTICE_POINTS * numkit.RQMC_REPLICATES
-        _, se_qmc = numkit.rqmc_mean(_gauss_sampler(a, d), seed=4)
+        [(_, se_qmc)] = numkit.rqmc_mean([_gauss_sampler(a, d)], seed=4)
         _, se_mc = numkit.mc_mean(_gauss_sampler(a, d), evaluations, seed=4)
         assert se_qmc * 50.0 <= se_mc
 
     def test_same_seed_same_output(self):
         sampler = _gauss_sampler(0.7, 3)
-        assert numkit.rqmc_mean(sampler, seed=9) == numkit.rqmc_mean(sampler, seed=9)
+        assert numkit.rqmc_mean([sampler], seed=9) == numkit.rqmc_mean([sampler], seed=9)
 
     @pytest.mark.parametrize("dim", [0, -1, numkit.LATTICE_MAX_DIM + 1])
     def test_dimension_out_of_range(self, dim):
         with pytest.raises(ValueError, match="lattice serves"):
-            numkit.rqmc_mean(_gauss_sampler(0.3, dim), seed=0)
+            numkit.rqmc_mean([_gauss_sampler(0.3, dim)], seed=0)
 
     def test_non_normal_draws_rejected(self):
         sampler = numkit.Sampler("random", 1, lambda u: u[0])
         with pytest.raises(ValueError, match="standard normals, not random"):
-            numkit.rqmc_mean(sampler, seed=0)
+            numkit.rqmc_mean([sampler], seed=0)
 
     def test_scale(self):
         sampler = _gauss_sampler(0.3, 2)
-        plain = numkit.rqmc_mean(sampler, seed=5)
-        scaled = numkit.rqmc_mean(dataclasses.replace(sampler, scale=-3.0), seed=5)
+        [plain] = numkit.rqmc_mean([sampler], seed=5)
+        [scaled] = numkit.rqmc_mean([dataclasses.replace(sampler, scale=-3.0)], seed=5)
         assert scaled == (-3.0 * plain[0], 3.0 * plain[1])
+
+    def test_samplers_share_one_pass_with_the_bits_of_one_each(self):
+        # the first kernel scribbles on its block, which must not reach the
+        # second; each (value, stderr) is that of its sampler alone
+        def scribble(z):
+            w = np.exp(-0.3 * (z * z).sum(axis=0))
+            z[:] = np.nan
+            return w
+
+        first = numkit.Sampler("standard_normal", 3, scribble, 2.0)
+        second = _gauss_sampler(0.7, 4)
+        both = numkit.rqmc_mean([first, second], seed=6)
+        assert both == numkit.rqmc_mean([first], seed=6) + numkit.rqmc_mean([second], seed=6)
+        assert all(math.isfinite(v) for pair in both for v in pair)
+
+    @pytest.mark.parametrize("ks", [(2, 3), (4, 1), ()])
+    def test_samplers_of_two_lattice_dimensions_rejected(self, ks):
+        with pytest.raises(ValueError, match="one lattice dimension"):
+            numkit.rqmc_mean([_gauss_sampler(0.3, k) for k in ks], seed=0)
+
+    def test_lattice_index_mask_is_the_remainder(self):
+        n = numkit.LATTICE_POINTS
+        assert n & (n - 1) == 0 < n
+        gen = np.array([pow(numkit.KOROBOV_A, j, n) for j in range(numkit.LATTICE_MAX_DIM)])
+        index = gen[:, None] * np.arange(n) % n
+        lattice = numkit._LatticeNormals(numkit.LATTICE_MAX_DIM)
+        np.testing.assert_array_equal(lattice.points, index / n)
 
     def test_point_at_zero_gives_finite_normals(self):
         # the unshifted lattice holds the origin, where Box-Muller takes log 0
@@ -279,7 +306,7 @@ class TestRows:
             seen.append(z.copy())
             return np.zeros(z.shape[1])
 
-        numkit.rqmc_mean(numkit.Sampler("standard_normal", 3, kernel), 7)
+        numkit.rqmc_mean([numkit.Sampler("standard_normal", 3, kernel)], 7)
         shift = np.random.default_rng(7).random((numkit.RQMC_REPLICATES, 4))[0]
         first = seen[: numkit.LATTICE_POINTS // numkit.KERNEL_BLOCK]  # the first replicate
         want = _lattice_normals(numkit._LatticeNormals(4), shift)[:3]
@@ -337,7 +364,7 @@ class TestMcMean:
         # at g = 1e-10 the weights agree to about 11 digits; E[w^2] - E[w]^2
         # cancelled to a stderr 16x too large
         spec = partition.KineticSpectrum(2, (1.0, 1.1), 1e-10)
-        sampler = partition._matrix_sampler(spec)
+        sampler = partition.matrix_sampler(spec)
         _, se = partition.z_mc_matrix(spec, 200_000, 3)
         w = _weights(sampler, 200_000, 3)
         assert se == pytest.approx(sampler.scale * w.std() / math.sqrt(w.size), rel=0.01, abs=0)

@@ -8,6 +8,7 @@ import pytest
 
 from qmm import numkit, partition
 from qmm.detkit import exp_det_factorization, vandermonde_det
+from qmm.numkit import rqmc_mean
 from qmm.partition import (
     KineticSpectrum,
     direct_route_correction,
@@ -19,8 +20,6 @@ from qmm.partition import (
     z_mc_eigen,
     z_mc_matrix,
     z_quad_n2,
-    z_rqmc_eigen,
-    z_rqmc_matrix,
     z_weak,
     z_weak_expanded,
     z_zero_kinetic,
@@ -183,7 +182,7 @@ class TestMonteCarlo:
             spec = KineticSpectrum(n, (1.0, 1.1, 1.2, 1.3)[:n], 0.0)
             assert z_mc_matrix(spec, 10_000, seed=1) == (z_free(spec).value, 0.0)
             if n == 3:  # the largest N the lattice serves
-                assert z_rqmc_matrix(spec, seed=1) == (z_free(spec).value, 0.0)
+                assert rqmc_mean([partition.matrix_sampler(spec)], 1) == [(z_free(spec).value, 0.0)]
 
     def test_matrix_mc_n1(self):
         est, se = z_mc_matrix(KineticSpectrum(1, (1.0,), 0.0), 10_000, seed=2)
@@ -201,7 +200,7 @@ class TestMonteCarlo:
             z_mc_matrix(KineticSpectrum(5, (1.0,) * 5, 0.0), 10_000, seed=0)
         # 16 normals: more than the lattice serves
         with pytest.raises(ValueError, match="lattice serves"):
-            z_rqmc_matrix(KineticSpectrum(4, (1.0, 1.1, 1.2, 1.3), 0.1), seed=0)
+            rqmc_mean([partition.matrix_sampler(KineticSpectrum(4, (1.0, 1.1, 1.2, 1.3), 0.1))], 0)
 
     @pytest.mark.parametrize("g", [0.0, 0.1])
     @pytest.mark.parametrize("samples", [0, -1])
@@ -428,9 +427,9 @@ def test_matrix_mc_same_bits_in_one_block(monkeypatch, n, samples):
 
 
 RQMC_RUNS = [
-    lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 53),
-    lambda: z_rqmc_eigen(KineticSpectrum(3, (1.0, 1.0, 1.0), 0.1), 54),
-    lambda: z_rqmc_matrix(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1), 55),
+    lambda: rqmc_mean([partition.eigen_sampler(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1))], 53),
+    lambda: rqmc_mean([partition.eigen_sampler(KineticSpectrum(3, (1.0, 1.0, 1.0), 0.1))], 54),
+    lambda: rqmc_mean([partition.matrix_sampler(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.1))], 55),
 ]
 RQMC_IDS = ["eigen-det", "eigen-equal", "matrix"]
 
@@ -465,7 +464,7 @@ def test_eigen_weights_with_a_pole_past_the_first_block(monkeypatch):
     assert near.any(axis=0).nonzero()[0].tolist() == [9000]
     assert numkit.KERNEL_BLOCK <= 9000 < 2 * numkit.KERNEL_BLOCK
 
-    kernel = partition._eigen_sampler(spec).kernel
+    kernel = partition.eigen_sampler(spec).kernel
 
     def run():
         # a copy each time: the kernel scales its rows in place
@@ -487,6 +486,17 @@ def test_haar_mc_seeded_output_pinned():
     mean, se = hciz_haar_mc2((0.3, 1.4), (0.2, 0.9), 1.0, 100_000, 21)
     assert mean == pytest.approx(2.6072959993579237, rel=1e-12, abs=0)
     assert se == pytest.approx(0.0018243363621251278, rel=1e-12, abs=0)
+
+
+def test_gate_rqmc_values_pinned():
+    # criterion 11's two RQMC clauses at the default seed, one lattice pass
+    matrix = partition.matrix_sampler(KineticSpectrum(2, (1.0, 1.1), 0.1))
+    eigen = partition.eigen_sampler(KineticSpectrum(3, (1.0, 1.1, 1.2), 0.0))
+    (est_m, se_m), (est_e, se_e) = rqmc_mean([matrix, eigen], 42)
+    assert est_m == pytest.approx(3.340849541684182, rel=1e-12, abs=0)
+    assert se_m == pytest.approx(6.048152532541291e-06, rel=1e-12, abs=0)
+    assert est_e == pytest.approx(14.115010796265228, rel=1e-12, abs=0)
+    assert se_e == pytest.approx(0.0340291951286329, rel=1e-12, abs=0)
 
 
 class TestQuadratureOracle:

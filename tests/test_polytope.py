@@ -139,12 +139,14 @@ def _reference_hits(h, samples, seed):
     return hits, float(np.prod(box))
 
 
-@pytest.mark.parametrize("h", [(0.6, 0.5, 0.55, 0.45), (0.3, 0.5, 0.5, 0.6, 0.7),
-                               (0.09, 0.0, 0.29, 0.89, 0.24, 0.75)],
-                         ids=["n4", "n5", "n6"])
+@pytest.mark.parametrize("h", [(0.6, 0.5, 0.55, 0.45), (0.6, 0.3, 0.3, 0.6), (0.3, 0.5, 0.5, 0.6),
+                               (0.3, 0.5, 0.5, 0.6, 0.7), (0.09, 0.0, 0.29, 0.89, 0.24, 0.75)],
+                         ids=["n4", "n4-u14-binds", "n4-u23-binds", "n5", "n6"])
 def test_hit_and_miss_counts_the_solved_entries(h):
     # one batch of draws; at N=6 the 9 free columns pass numpy's 8-wide
-    # pairwise summation threshold
+    # pairwise summation threshold.  At N=4, u_14 >= 0 and u_23 >= 0 both
+    # bound u_24 + u_34 from above, one test against the smaller bound:
+    # u_4 when u_1 + u_4 < u_2 + u_3, else s/2 - u_1
     samples, seed = 20_000, 12
     hits, box_vol = _reference_hits(h, samples, seed)
     est, _ = mc_volume(DiagonalSpec(len(h), h), samples, seed)
