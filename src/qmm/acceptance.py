@@ -508,25 +508,15 @@ def check_12(cfg: RunConfig) -> list[CheckResult]:
     # skewed pattern: substantial third power sum, mean removed
     pat = np.array([math.sin(2.3 * j + 0.4) + 0.5 * math.sin(2.3 * j + 0.4) ** 2 for j in range(n)])
     pat -= pat.mean()
-    small = pat * n ** (-2.0 / 3.0)
-    large = pat * 0.8 * n ** (-1.0 / 3.0)
-    d_small = abs(
-        partition.polytope_route_correction(small) - partition.direct_route_correction(small)
-    )
-    d_large = abs(
-        partition.polytope_route_correction(large) - partition.direct_route_correction(large)
-    )
+
+    def gap(eps):
+        return abs(partition.polytope_route_correction(eps) - partition.direct_route_correction(eps))
+
+    d_small = gap(pat * n ** (-2.0 / 3.0))
+    d_large = gap(pat * 0.8 * n ** (-1.0 / 3.0))
     tiny = pat * 1e-5
-    d2 = abs(
-        partition.polytope_route_correction(tiny) - partition.direct_route_correction(tiny)
-    )
-    s3 = float(np.sum(tiny**3))
-    coeff = d2 / abs(s3)
-    ok = (
-        d_small < 1e-3
-        and d_large > 1e-2
-        and abs(coeff - 1.0 / 12.0) < 1e-3
-    )
+    coeff = gap(tiny) / abs(float(np.sum(tiny**3)))
+    ok = d_small < 1e-3 and d_large > 1e-2 and abs(coeff - 1.0 / 12.0) < 1e-3
     out.append(
         CheckResult(
             12, "two free-theory routes agree through the second moment and "
@@ -563,8 +553,8 @@ def check_13(cfg: RunConfig) -> list[CheckResult]:
         x = [Fraction(k * k + 1, k + 2) for k in range(n)]
         for p in range(n + 3):
             h = numkit.complete_homogeneous(p - n + 1, x) if p > n - 2 else 0
-            pole_ok.append(numkit.symmetric_pole_sum("F", p, x) == (-1) ** (n - 1) * h)
-        pole_ok.append(numkit.symmetric_pole_sum("G", 0, x, z=Fraction(-2, 7)) == 1)
+            pole_ok.append(numkit.symmetric_pole_sum(p, x) == (-1) ** (n - 1) * h)
+        pole_ok.append(numkit.symmetric_pole_sum(0, x, z=Fraction(-2, 7)) == 1)
     return [
         CheckResult(13, "truncation-bound monotonicity flips at the Lambert-W threshold",
                     "Lambert-W truncation threshold", ok_star and ok_flip,

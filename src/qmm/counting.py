@@ -22,6 +22,16 @@ class InstanceTooLarge(ArithmeticError):
     """Raised when the count visits more residual states than its cap."""
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; integral floats and numpy integers pass, others raise ValueError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RowSumSpec:
     """Matrix size and prescribed row sums for the counting problem."""
@@ -34,9 +44,10 @@ class RowSumSpec:
             raise ValueError("matrix size must be >= 2")
         if len(self.t) != self.n:
             raise ValueError("need one row sum per row")
-        if any(tj < 0 for tj in self.t):
+        t = tuple(_integer(tj, "a row sum") for tj in self.t)
+        if any(tj < 0 for tj in t):
             raise ValueError("row sums must be non-negative")
-        object.__setattr__(self, "t", tuple(int(tj) for tj in self.t))
+        object.__setattr__(self, "t", t)
 
     @property
     def x(self) -> int:
@@ -157,6 +168,7 @@ def count_total(n: int, x: int) -> int:
 
     binom(binom(n,2) - 1 + x/2, binom(n,2) - 1); zero for odd x.
     """
+    n, x = _integer(n, "the matrix size"), _integer(x, "x")
     if n < 2:
         raise ValueError("matrix size must be >= 2")
     if x < 0:

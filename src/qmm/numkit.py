@@ -157,14 +157,16 @@ class _LatticeNormals:
 
     The points are p = k / n, k = j (1, a, a^2, ...) mod n, one row per
     coordinate.  The tent transform 1 - |2v - 1| folds each shifted
-    coordinate v = frac(p + s), and Box-Muller turns coordinates 2i and
-    2i+1 into rows 2i and 2i+1, so the lattice has an even number of
-    coordinates.  A radial coordinate at exactly 0 is read as 2^-53, the
-    smallest positive value rng.random returns, so every normal is finite
-    (|z| <= 8.6).  The angle 2 pi tent(v) is never formed: its cosine is
-    cos(4 pi v), and its sine is sin(4 pi v) for v < 1/2 and -sin(4 pi v)
-    otherwise, which is the imaginary part of exp(-4 pi i v) times the
-    sign of 2v - 1.  exp(-4 pi i v) = exp(-4 pi i k / n) exp(-4 pi i s):
+    coordinate v = frac(p + s); p <= 1 - 1/n and the shifts s come from
+    rng.random, so p + s < 2 and frac(p + s) subtracts 1 where p + s >= 1.
+    Box-Muller turns coordinates 2i and 2i+1 into rows 2i and 2i+1, so the
+    lattice has an even number of coordinates.  A radial coordinate at
+    exactly 0 is read as 2^-53, the smallest positive value rng.random
+    returns, so every normal is finite (|z| <= 8.6).  The angle 2 pi tent(v)
+    is never formed: its cosine is cos(4 pi v), and its sine is sin(4 pi v)
+    for v < 1/2 and -sin(4 pi v) otherwise, which is the imaginary part of
+    exp(-4 pi i v) times the sign of 2v - 1.
+    exp(-4 pi i v) = exp(-4 pi i k / n) exp(-4 pi i s):
     one table of n values gathered by k when the lattice is built, turned
     by two scalar trig calls per angle coordinate and shift, where plain
     Box-Muller takes two trig calls per point.  Each block of at most
@@ -181,7 +183,6 @@ class _LatticeNormals:
         self.turns = (np.cos(angle) - 1j * np.sin(angle))[index[1::2]]
         width = min(KERNEL_BLOCK, n)
         self.z = np.empty((dim, width))
-        self.floor = np.empty((dim, width))
         self.turned = np.empty((dim // 2, width), dtype=complex)
         # allocated here, not once the lattice's temporaries are freed: there
         # it left glibc trimming and re-faulting heap on every block (9,344
@@ -199,10 +200,9 @@ class _LatticeNormals:
         for start in range(0, n, width):
             cols = slice(start, min(start + width, n))
             m = cols.stop - start
-            z, floor, turned = self.z[:, :m], self.floor[:, :m], self.turned[:, :m]
+            z, turned = self.z[:, :m], self.turned[:, :m]
             np.add(self.points[:, cols], shift, out=z)
-            np.floor(z, out=floor)
-            z -= floor
+            z -= z >= 1.0  # frac(p + s), as p + s < 2
             z *= 2.0
             z -= 1.0  # 2v - 1, negative for v < 1/2
             radius = z[0::2]
@@ -367,8 +367,8 @@ def power_sums(vals, upto: int) -> list[float]:
     return [sum(v**k for v in vals) for k in range(upto + 1)]
 
 
-def symmetric_pole_sum(kind: str, p: int, x, z=None):
-    """F_{n,p} and G_{n,p} pole sums over distinct nodes.
+def symmetric_pole_sum(p: int, x, z=None):
+    """F_{n,p} pole sum over distinct nodes, or G_{n,p} given the shift z.
 
     F: sum_k x_k^p prod_{t!=k} 1/(x_t - x_k); vanishes for p <= n-2 and
     equals (-1)^(n-1) at p = n-1.  G: same with extra (x_t - z) factors in
@@ -381,16 +381,12 @@ def symmetric_pole_sum(kind: str, p: int, x, z=None):
     for i, j in combinations(range(n), 2):
         if x[i] == x[j]:
             raise ValueError("degenerate nodes")
-    if kind not in ("F", "G"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind == "G" and z is None:
-        raise ValueError("G requires the shift z")
     total = 0
     for k in range(n):
         term = x[k] ** p
         for t in range(n):
             if t != k:
-                term = (term if kind == "F" else term * (x[t] - z)) / (x[t] - x[k])
+                term = (term if z is None else term * (x[t] - z)) / (x[t] - x[k])
         total = total + term
     return total
 

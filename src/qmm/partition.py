@@ -243,33 +243,28 @@ def _trace_x4(n: int, diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.nd
     in the order of combinations(range(n), 2)).  X^2 = P + iQ with
     P = A^2 - B^2 symmetric and Q = AB + BA antisymmetric, so
     Tr X^4 = ||P||_F^2 + ||Q||_F^2, summed here over the upper triangle.
-    Each sum of products runs left to right over k in a few length-m
-    buffers.
+    B's lower triangle is held as negated rows, B[l, k] = -B[k, l], so each
+    sum of products runs left to right over k, multiplying and adding, in
+    a few length-m buffers.
     """
     m = diag.shape[1]
-    # entries as (sign, row), B[l, k] = -B[k, l], so no negated copy of im
-    # is made; on whole 65,536-sample rows such a copy doubled the mc
-    # benchmark's page faults and cost 10%, on KERNEL_BLOCK rows it costs
-    # no page faults and no time the host can resolve
-    a = {(i, i): (1, diag[i]) for i in range(n)}
+    a = {(i, i): diag[i] for i in range(n)}
     b = {}
     for idx, (k, l) in enumerate(combinations(range(n), 2)):
-        a[k, l] = a[l, k] = (1, re[idx])
-        b[k, l] = (1, im[idx])
-        b[l, k] = (-1, im[idx])
+        a[k, l] = a[l, k] = re[idx]
+        b[k, l] = im[idx]
+        b[l, k] = -im[idx]
     tr = np.zeros(m)
     p, q, part, prod = (np.empty(m) for _ in range(4))
 
     def products(out, pairs):
-        # out = x_0 y_0 + x_1 y_1 + ... over the (sign, row) pairs; False if none
-        for t, ((sx, x), (sy, y)) in enumerate(pairs):
+        # out = x_0 y_0 + x_1 y_1 + ...; False if there are no pairs
+        for t, (x, y) in enumerate(pairs):
             if t == 0:
                 np.multiply(x, y, out=out)
-                if sx * sy < 0:
-                    np.negative(out, out=out)
             else:
                 np.multiply(x, y, out=prod)
-                (np.add if sx * sy > 0 else np.subtract)(out, prod, out=out)
+                out += prod
         return bool(pairs)
 
     for i in range(n):

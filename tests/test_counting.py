@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,15 @@ def test_count_total_odd_is_zero():
     assert count_total(5, 7) == 0
 
 
+def test_count_total_rejects_a_fractional_total():
+    assert count_total(3.0, 4.0) == count_total(np.int64(3), np.int64(4)) == 6
+    for x in (4.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            count_total(3, x)
+    with pytest.raises(ValueError, match="matrix size must be an integer"):
+        count_total(3.5, 4)
+
+
 def test_resource_guard():
     with pytest.raises(InstanceTooLarge, match="too large"):
         count_row_sums(RowSumSpec(10, (20,) * 10), state_cap=10**4)
@@ -101,6 +111,15 @@ def test_spec_validation():
         RowSumSpec(1, (3,))
     with pytest.raises(ValueError):
         RowSumSpec(3, (1, -1, 2))
+
+
+def test_spec_rejects_fractional_row_sums():
+    # truncated, (2.5, 1.7, 1.0) would be counted as (2, 1, 1)
+    with pytest.raises(ValueError, match="row sum must be an integer, got 2.5"):
+        RowSumSpec(3, (2.5, 1.7, 1.0))
+    spec = RowSumSpec(3, (2.0, np.int64(1), np.float64(1.0)))
+    assert spec.t == (2, 1, 1) and all(type(tj) is int for tj in spec.t)
+    assert count_row_sums(spec) == 1
 
 
 def test_uniform_counts_three_sig_figs():

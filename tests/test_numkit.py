@@ -77,32 +77,27 @@ class TestDistinctPartitions:
 
 class TestPoleSums:
     def test_f_vanishes_low_power(self):
-        assert numkit.symmetric_pole_sum("F", 1, (1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
+        assert numkit.symmetric_pole_sum(1, (1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_f_top_power_sign(self):
-        assert numkit.symmetric_pole_sum("F", 2, (1.0, 2.0, 3.0)) == pytest.approx(1.0)
+        assert numkit.symmetric_pole_sum(2, (1.0, 2.0, 3.0)) == pytest.approx(1.0)
 
     def test_g_normalisation(self):
-        got = numkit.symmetric_pole_sum("G", 0, (0.3, 1.7, 2.2, -4.0), z=0.7)
+        got = numkit.symmetric_pole_sum(0, (0.3, 1.7, 2.2, -4.0), z=0.7)
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            numkit.symmetric_pole_sum("F", 1, (1.0, 1.0, 3.0))
-
-    def test_g_needs_shift(self):
-        with pytest.raises(ValueError, match="shift z"):
-            numkit.symmetric_pole_sum("G", 0, (1.0, 2.0))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            numkit.symmetric_pole_sum("H", 0, (1.0, 2.0), z=0.5)
+            numkit.symmetric_pole_sum(1, (1.0, 1.0, 3.0))
 
     def test_g_matches_written_out_sum(self):
-        # two nodes: x_0^p (x_1 - z)/(x_1 - x_0) + x_1^p (x_0 - z)/(x_0 - x_1)
-        x0, x1, z, p = Fraction(1, 3), Fraction(5, 2), Fraction(-2, 7), 3
-        expect = x0**p * (x1 - z) / (x1 - x0) + x1**p * (x0 - z) / (x0 - x1)
-        assert numkit.symmetric_pole_sum("G", p, (x0, x1), z=z) == expect
+        # two nodes: x_0^p (x_1 - z)/(x_1 - x_0) + x_1^p (x_0 - z)/(x_0 - x_1);
+        # z = 0 is a shift too, not F
+        x0, x1, p = Fraction(1, 3), Fraction(5, 2), 3
+        for z in (Fraction(-2, 7), 0):
+            expect = x0**p * (x1 - z) / (x1 - x0) + x1**p * (x0 - z) / (x0 - x1)
+            assert numkit.symmetric_pole_sum(p, (x0, x1), z=z) == expect
+        assert numkit.symmetric_pole_sum(p, (x0, x1), z=0) != numkit.symmetric_pole_sum(p, (x0, x1))
 
     @settings(max_examples=40)
     @given(
@@ -114,7 +109,7 @@ class TestPoleSums:
         x = [Fraction(v, 7) for v in nodes]
         n = len(x)
         m = extra
-        got = numkit.symmetric_pole_sum("F", n - 1 + m, x)
+        got = numkit.symmetric_pole_sum(n - 1 + m, x)
         expect = Fraction(-1) ** (n - 1) * numkit.complete_homogeneous(m, x)
         assert got == expect
 
@@ -148,14 +143,14 @@ def test_leaves_no_cyclic_garbage(call):
 class TestPoleSumsComplex:
     def test_f_complex_nodes(self):
         x = (1 + 1j, 2 - 0.5j, -0.3 + 2j)
-        got = numkit.symmetric_pole_sum("F", 1, x)
+        got = numkit.symmetric_pole_sum(1, x)
         assert abs(got) < 1e-12  # p <= n-2 still vanishes off the real axis
-        got = numkit.symmetric_pole_sum("F", 2, x)
+        got = numkit.symmetric_pole_sum(2, x)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_g_complex_shift(self):
         x = (0.4 + 0.1j, 1.5, -1.0 - 0.7j, 2.2j)
-        got = numkit.symmetric_pole_sum("G", 0, x, z=0.7 - 0.2j)
+        got = numkit.symmetric_pole_sum(0, x, z=0.7 - 0.2j)
         assert got == pytest.approx(1.0, abs=1e-10)
 
 
@@ -258,9 +253,13 @@ class TestRqmcMean:
     def test_rotated_normals_are_box_muller_on_the_tent(self, dim):
         # v = 0 and v = 1/2 fall on columns 0 and n/2 (where every p is 0
         # or 1/2) under shifts 0 and 1/2; the shift just below 1/2 puts
-        # column 0 just short of the sign change of the angle's sine; with
-        # 20 seeded shifts per dimension, 100 in all
-        edges = [np.zeros(dim), np.full(dim, 0.5), np.full(dim, np.nextafter(0.5, 0.0))]
+        # column 0 just short of the sign change of the angle's sine; shift
+        # 1/n puts p + s at exactly 1 where p = 1 - 1/n, and rng.random's
+        # largest value puts it just below 2 there; with 20 seeded shifts
+        # per dimension, 125 in all
+        n = numkit.LATTICE_POINTS
+        edges = [np.zeros(dim), np.full(dim, 0.5), np.full(dim, np.nextafter(0.5, 0.0)),
+                 np.full(dim, 1.0 / n), np.full(dim, 1.0 - 2.0**-53)]
         lattice = numkit._LatticeNormals(dim)
         for shift in edges + list(np.random.default_rng(dim).random((20, dim))):
             np.testing.assert_allclose(_lattice_normals(lattice, shift),

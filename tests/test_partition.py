@@ -335,6 +335,9 @@ def test_trace_x4_bits_equal_the_sum_with_diagonal_q(n):
     rng = np.random.default_rng(60 + n)
     p = n * (n - 1) // 2
     diag, re, im = (rng.standard_normal((k, m)) for k in (n, p, p))
+    for x in (diag, re, im):  # negating a row turns +0 into -0
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
     got = partition._trace_x4(n, diag, re, im)
     want = _trace_x4_with_diagonal_q(n, diag, re, im)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
