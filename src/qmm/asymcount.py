@@ -34,8 +34,8 @@ def lambda_star(spec: RowSumSpec) -> float:
 
 def coverage_fraction(lam: float) -> float:
     """Asymptotic fraction exp(-1/(4 lam (lam+1))) of matrices covered."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     return math.exp(-1.0 / (4.0 * lam * (lam + 1.0)))
 
 
@@ -49,8 +49,10 @@ def asymptotic_count(
     """
     if lam is None:
         lam = lambda_star(spec)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     n = spec.n
     x = spec.x
     dev = [tj - lam * (n - 1) for tj in spec.t]
@@ -86,8 +88,8 @@ def lower_bound(spec: RowSumSpec, lambda_seq, alpha: float) -> LogValue:
     lams = [float(l) for l in lambda_seq]
     if len(lams) != spec.n:
         raise ValueError("need one lambda per row")
-    if any(l <= 0 for l in lams):
-        raise ValueError("lambda_j must be positive")
+    if not all(0.0 < l < math.inf for l in lams):
+        raise ValueError("lambda_j must be positive and finite")
     n = spec.n
     lam = sum(lams) / n
 

@@ -1,6 +1,7 @@
 """Volumes of diagonal subpolytopes of symmetric stochastic matrices.
 
-Exact formulas for N=3 (point polytope) and N=4 (piecewise quadratic),
+Exact formulas for N=3 (point polytope) and N=4 (one closed form, half
+the square of the smallest row sum or slack),
 two Monte-Carlo oracles (hit-and-miss over the free off-diagonal block,
 and a row-peeling simplex sampler that stays usable at N ~ 9), each a
 block kernel over one group of draws that numkit.mc_mean runs, the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -56,11 +58,11 @@ def _exact_volume_n3_rowsum(u) -> np.ndarray:
 
 
 def exact_volume_n4(spec: DiagonalSpec) -> float:
-    """Piecewise-quadratic exact volume at N=4.
+    """Exact volume at N=4: m^2 / 2 with m = max(0, min(u_1..u_4, s_1..s_4)).
 
-    The sign triple of (s_12, s_13, s_14) selects one branch
-    (boundaries go with the >= 0 branch; adjacent branches agree there, so
-    the function is continuous).  Empty polytope (some s_j < 0) gives 0.
+    The free entries (u_24, u_34) fill a right isosceles triangle with legs
+    of length m.  An empty polytope has some s_j < 0, so m clamps to 0; the
+    volume is continuous in the diagonal.
     """
     if spec.n != 4:
         raise ValueError("exact_volume_n4 requires n = 4")
@@ -69,19 +71,10 @@ def exact_volume_n4(spec: DiagonalSpec) -> float:
 
 def _exact_volume_n4_rowsum(u) -> np.ndarray:
     """Exact N=4 volume of the row sums u, one row per component."""
-    u1, u2, u3, u4 = np.asarray(u, dtype=float)
-    half = (u1 + u2 + u3 + u4) / 2.0
-    s1, s2, s3, s4 = half - u1, half - u2, half - u3, half - u4
-    s12 = half - u1 - u2
-    s13 = half - u1 - u3
-    s14 = half - u1 - u4
-    # branch side indexed by the sign bits (s12 >= 0, s13 >= 0, s14 >= 0)
-    side = np.choose(
-        4 * (s12 >= 0.0) + 2 * (s13 >= 0.0) + (s14 >= 0.0),
-        [s1, u4, u3, s2, u2, s3, s4, u1],
-    )
-    empty = (s1 < 0.0) | (s2 < 0.0) | (s3 < 0.0) | (s4 < 0.0)
-    return np.where(empty, 0.0, 0.5 * side * side)
+    u = np.asarray(u, dtype=float)
+    half = (u[0] + u[1] + u[2] + u[3]) / 2.0
+    m = np.maximum(reduce(np.minimum, [*u, *(half - uj for uj in u)]), 0.0)
+    return 0.5 * m * m
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +173,16 @@ def mc_volume_peel(
             m = len(g)
             s = res[m]
             # g becomes a uniform point of the simplex {g >= 0, sum g = s}
-            scale = g[0] + g[1]
-            for j in range(2, m):
-                scale += g[j]
+            scale = g.sum(axis=0)
             np.divide(s, scale, out=scale)
             g *= scale
             res[:m] -= g
-            # g_j <= residual_j before the subtraction iff >= 0 after it
-            w *= np.where((res[:m] >= 0.0).all(axis=0), s ** (m - 1) / math.factorial(m - 1), 0.0)
-        return w * _exact_volume_n4_rowsum(res[:4])
+            w *= s ** (m - 1) / math.factorial(m - 1)
+        # a sample is feasible iff no row's entry g_j exceeded residual_j,
+        # i.e. no residual went negative at any row.  One test at the end
+        # sees every such residual: each s stays in res[m], which later rows
+        # never touch, and while every s >= 0 the residuals only fall
+        return np.where((res >= 0.0).all(axis=0), w * _exact_volume_n4_rowsum(res[:4]), 0.0)
 
     return mc_mean(Sampler("standard_exponential", sum(range(4, n)), kernel), samples, seed)
 

@@ -75,6 +75,16 @@ class TestAsymptoticCount:
         with pytest.raises(ValueError):
             asymptotic_count(RowSumSpec(3, (1, 1, 2)), lam=-1.0)
 
+    @pytest.mark.parametrize("lam,omega,message", [
+        (math.nan, 0.1, "lambda must be positive and finite"),
+        (math.inf, 0.1, "lambda must be positive and finite"),
+        (None, math.nan, "omega must be finite"),
+        (None, math.inf, "omega must be finite"),
+    ])
+    def test_non_finite_input_rejected(self, lam, omega, message):
+        with pytest.raises(ValueError, match=message):
+            asymptotic_count(RowSumSpec(5, (6, 6, 6, 7, 7)), lam=lam, omega=omega)
+
     def test_validity_flags_match_table(self):
         for t, ratio in T1_UNFLAGGED:
             res = asymptotic_count(RowSumSpec(7, t))
@@ -137,6 +147,11 @@ class TestLowerBound:
             with pytest.raises(ValueError):
                 lower_bound(spec, (1.0,) * 4, alpha=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="lambda_j must be positive and finite"):
+            lower_bound(RowSumSpec(4, (2, 2, 2, 2)), (1.0, bad, 1.0, 1.0), alpha=0.25)
+
 
 class TestCoverage:
     def test_limit_one(self):
@@ -151,6 +166,11 @@ class TestCoverage:
     def test_monotone(self):
         vals = [coverage_fraction(l) for l in (0.25, 0.5, 1.0, 2.0)]
         assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_lambda_domain(self, bad):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            coverage_fraction(bad)
 
 
 def test_lower_bound_mixed_radii_hand_value():

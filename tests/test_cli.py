@@ -333,6 +333,10 @@ class TestCli:
          "matrix MC limited to n <= 4 (N^2-dimensional integral)"),
         (["orthopoly", "--n", "70"], "n_max capped at 64"),
         (["orthopoly", "--n", "33", "--u"], "U table capped at n_max = 32"),
+        (["asym", "--n", "5", "--t", "6,6,6,7,7", "--lam", "nan"], "lambda must be positive and finite"),
+        (["asym", "--n", "5", "--t", "6,6,6,7,7", "--lam", "inf"], "lambda must be positive and finite"),
+        (["asym", "--n", "5", "--t", "6,6,6,7,7", "--omega", "nan"], "omega must be finite"),
+        (["asym", "--n", "5", "--t", "6,6,6,7,7", "--omega", "inf"], "omega must be finite"),
     ])
     def test_rejected_input_exit_2(self, capsys, argv, message):
         rc = main(argv)

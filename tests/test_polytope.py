@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -38,11 +39,11 @@ class TestExactN3:
 class TestExactN4:
     def test_degenerate_identity_corner(self):
         # all-ones diagonal pins the identity matrix: a point has zero
-        # 2-dimensional volume; the boundary branch evaluates to exactly that
+        # 2-dimensional volume; every row sum and slack is 0, so m = 0
         assert exact_volume_n4(DiagonalSpec(4, (1.0, 1.0, 1.0, 1.0))) == 0.0
 
     def test_symmetric_point(self):
-        # all s_1j = 0: boundary branch u_1^2/2
+        # all s_1j = 0 and m = u_j = s_j = 1/2: m^2/2
         assert exact_volume_n4(DiagonalSpec(4, (0.5,) * 4)) == pytest.approx(0.125)
 
     def test_known_value(self):
@@ -80,6 +81,27 @@ class TestExactN4:
         got = _exact_volume_n4_rowsum(np.array([spec.u for spec in specs]).T)
         assert got.shape == (len(specs),)
         assert list(got) == [exact_volume_n4(spec) for spec in specs]
+
+    def test_matches_the_triangle_of_the_free_entries(self):
+        # in exact rationals: mc_volume's dependent entries bound the free
+        # ones by u_24 >= s_13 (u_13 >= 0), u_34 >= s_12 (u_12 >= 0) and
+        # u_24 + u_34 <= u_4, s_1 (u_14, u_23 >= 0), a right isosceles
+        # triangle.  Its legs are <= s_2, s_3, s_4 as well, so it is empty
+        # whenever the polytope is.  The (k/8)^4 grid of row sums meets every
+        # sign triple of (s_12, s_13, s_14), zeros included, at non-empty
+        # polytopes
+        def area(u):
+            u1, u2, u3, u4 = u
+            half = (u1 + u2 + u3 + u4) / 2
+            leg = min(u4, half - u1) - max(0, half - u1 - u2) - max(0, half - u1 - u3)
+            return max(0, leg) ** 2 / 2
+
+        grid = [tuple(Fraction(k, 8) for k in ks) for ks in product(range(9), repeat=4)]
+        want = np.array([area(u) for u in grid], dtype=float)
+        u = np.array(grid, dtype=float).T
+        signs = np.sign((u.sum(axis=0) / 2 - u[0]) - u[1:])[:, want > 0]
+        assert len(set(map(tuple, signs.T))) == 27
+        assert _exact_volume_n4_rowsum(u) == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestMonteCarlo:
