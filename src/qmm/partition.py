@@ -1,12 +1,13 @@
 """Partition-function evaluators for the quartic Hermitian matrix model.
 
-Closed forms (free, weak-coupling, zero-kinetics), the symmetrised
-eigenvalue integrand with collision-safe evaluation, Monte-Carlo
-cross-checks over matrices and over eigenvalues (each a numkit.Sampler
-that numkit.mc_mean and numkit.rqmc_mean run) and over U(2), the
-unitary-group integral for coupled quadratic traces, and the two
-free-theory expansion routes whose controlled disagreement is itself a
-deliverable.
+Closed forms (free, weak-coupling, zero-kinetics), the eigenvalue-reduced
+integrand whose integral over R^N is Z (the collision-safe det form, or
+the exact Delta^2 form at a coincident spectrum) with its N = 2
+trapezoid oracle, Monte-Carlo cross-checks over matrices and over
+eigenvalues (each a numkit.Sampler that numkit.mc_mean and
+numkit.rqmc_mean run) and over U(2), the unitary-group integral for
+coupled quadratic traces, and the two free-theory expansion routes whose
+controlled disagreement is itself a deliverable.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class KineticSpectrum:
         return tuple(ej / xi - 1.0 for ej in self.e)
 
 
-def _sum_lgamma(n_upto: int) -> float:
-    # sum_{m=0}^{n_upto} ln m!
-    return sum(math.lgamma(m + 1) for m in range(n_upto + 1))
+def _log_u(n: int) -> float:
+    """ln U with U = pi^binom(N,2) / prod_{m<=N} m!, the constant of the Delta^2 form."""
+    return (n * (n - 1) // 2) * math.log(math.pi) - sum(math.lgamma(m + 1) for m in range(n + 1))
 
 
 def z_free(spec: KineticSpectrum) -> LogValue:
@@ -126,7 +127,7 @@ def z_zero_kinetic(n: int, g: float) -> LogValue | None:
     if g == 0:
         return None
     table = quartic_r_sequence(n)
-    ln = (n * (n - 1) // 2) * math.log(math.pi) - _sum_lgamma(n)
+    ln = _log_u(n)
     ln += -(n * n / 4.0) * math.log(g)
     ln += math.lgamma(n + 1)
     ln += sum(math.log(table.h[t]) for t in range(n))
@@ -138,25 +139,34 @@ def z_zero_kinetic(n: int, g: float) -> LogValue | None:
 
 
 def eigen_integrand(spec: KineticSpectrum, cols):
-    """Delta(lam) det(exp(-e_k lam_l^2)) e^<quartic> / (prod(lam_m+lam_n) Delta(e)).
+    """The eigenvalue-reduced integrand, whose integral over R^N is Z.
 
+    Distinct e: (-1)^b pi^b / N! Delta(lam) det(exp(-e_k lam_l^2)) e^<quartic>
+    / (prod(lam_m+lam_n) Delta(e)), b = binom(N,2), finite everywhere: at
+    lam_m + lam_n = 0 the determinant's compensating zero is taken
+    analytically (derivative column).  All e equal: the exact form
+    U Delta(lam)^2 exp(-e sum lam^2) e^<quartic>; partly equal: ValueError.
     cols holds one entry per eigenvalue lam_l, floats or arrays of one
-    shape; the result has that shape (a float for one point).  Finite
-    everywhere: at lam_m + lam_n = 0 the determinant's compensating zero
-    is taken analytically (derivative column), mirroring the paired
-    exponential cancellation of the two-eigenvalue case.
+    shape; the result has that shape (a float for one point).
     """
-    if len(cols) != spec.n:
+    n = spec.n
+    if len(cols) != n:
         raise ValueError("need one eigenvalue per index")
+    if len(set(spec.e)) == 1:
+        sq = [c * c for c in cols]
+        vdm = vandermonde_det(cols)
+        return vdm * vdm * np.exp(_log_u(n) - spec.e[0] * sum(sq) - spec.g * sum(s * s for s in sq))
     de = vandermonde_det(spec.e)
     if de == 0.0:
         raise ValueError("kinetic eigenvalues must be distinct for the det form")
+    # the constant (-1)^b pi^b / N! joins the scalar divisor
+    de *= math.factorial(n) / (-math.pi) ** (n * (n - 1) // 2)
     tol = _COLLISION_RTOL * reduce(np.maximum, map(np.abs, cols), 1.0)
     sq = [c * c for c in cols]
     # the kernel transposed, one row per eigenvalue: row l is exp(-e_k lam_l^2)
     mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
-    for nn in range(1, spec.n):
+    for nn in range(1, n):
         hit = None
         for m in range(nn):
             s = cols[m] + cols[nn]
@@ -177,13 +187,13 @@ def eigen_integrand(spec: KineticSpectrum, cols):
 def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
     """N = 2 partition function by the trapezoid rule, as (value, abserr).
 
-    A deterministic oracle for the samplers: Z = -(pi/2) times the integral
-    of eigen_integrand over R^2, the eigenvalue-reduction prefactor and
-    sign at N = 2.  The integrand is even under lam -> -lam, so
-    numkit.trapezoid sums 2 (f(s, t) + f(s, -t)) over the quarter plane
-    s, t >= 0, halving the step from 0.4, out to sqrt(37 / c) per axis with
-    c = min(e) + sqrt(g), which tracks the integrand's decay from weak to
-    strong coupling; abserr is the rule's step-halving estimate.
+    A deterministic oracle for the samplers: the integral of
+    eigen_integrand over R^2, at distinct and at coincident spectra.  The
+    integrand is even under lam -> -lam, so numkit.trapezoid sums
+    2 (f(s, t) + f(s, -t)) over the quarter plane s, t >= 0, halving the
+    step from 0.4, out to sqrt(37 / c) per axis with c = min(e) + sqrt(g),
+    which tracks the integrand's decay from weak to strong coupling;
+    abserr is the rule's step-halving estimate.
     """
     if spec.n != 2:
         raise ValueError("quadrature oracle implemented for N = 2")
@@ -193,41 +203,26 @@ def z_quad_n2(spec: KineticSpectrum) -> tuple[float, float]:
         return 2.0 * (eigen_integrand(spec, [s, t]) + eigen_integrand(spec, [s, -t]))
 
     value, err = trapezoid(folded, 0.4, math.sqrt(37.0 / c), dim=2)
-    return -0.5 * math.pi * float(value), 0.5 * math.pi * float(err)
+    return float(value), float(err)
 
 
 def eigen_sampler(spec: KineticSpectrum) -> Sampler:
-    """The importance-sampled eigenvalue-reduced integral as a Sampler.
+    """eigen_integrand importance-sampled from a Gaussian proposal, as a Sampler.
 
-    Proposal: independent normals matched to the softest eigenvalue
-    (keeps every determinant term bounded under the weight), N standard
-    normals per sample.  Coincident spectra use the exact Delta^2
-    reduction instead of the det form; a partly coincident spectrum is
-    rejected by eigen_integrand.
+    The proposal exp(-e_min sum lam^2), matched to the softest eigenvalue
+    (keeps every determinant term bounded under the weight), is N standard
+    normals per sample times 1/sqrt(2 e_min).  A weight is the integrand
+    over it; the scale is its integral (pi/e_min)^(N/2).
     """
-    n = spec.n
-    e = np.asarray(spec.e)
-    all_equal = np.all(e == e[0])
-    emin = float(e.min())
+    emin = min(spec.e)
     sigma = 1.0 / math.sqrt(2.0 * emin)
-    ln_pref = (n * (n - 1) // 2) * math.log(math.pi) - _sum_lgamma(n)
-    sign = 1.0
-    if not all_equal:
-        ln_pref += _sum_lgamma(n - 1)
-        sign = (-1.0) ** (n * (n - 1) // 2)
 
     def kernel(lam):
         lam *= sigma
         cols = list(lam)
-        sq = [c * c for c in cols]
-        log_q = (n / 2.0) * math.log(emin / math.pi) - emin * sum(sq)
-        if not all_equal:
-            return eigen_integrand(spec, cols) * np.exp(-log_q)
-        vdm = vandermonde_det(cols)
-        ln_f = -(e[0] * sum(sq) + spec.g * sum(s * s for s in sq))
-        return vdm * vdm * np.exp(ln_f - log_q)
+        return eigen_integrand(spec, cols) * np.exp(emin * sum(c * c for c in cols))
 
-    return Sampler("standard_normal", n, kernel, sign * math.exp(ln_pref))
+    return Sampler("standard_normal", spec.n, kernel, (math.pi / emin) ** (spec.n / 2.0))
 
 
 def z_mc_eigen(spec: KineticSpectrum, samples: int, seed: int) -> tuple[float, float]:

@@ -161,6 +161,26 @@ class TestEigenIntegrand:
         b = eigen_integrand(spec, tuple(-x for x in lam))
         assert a == pytest.approx(b, rel=1e-12, abs=0)
 
+    def test_coincident_spectrum_takes_the_exact_form(self):
+        # all e equal: U Delta(lam)^2 exp(-e sum lam^2 - g sum lam^4) with
+        # U = pi^3 / (0! 1! 2! 3!); two equal and one not: neither form
+        lam = (0.3, -0.8, 1.1)
+        vdm = (lam[1] - lam[0]) * (lam[2] - lam[0]) * (lam[2] - lam[1])
+        want = math.pi**3 / 12 * vdm**2 * math.exp(
+            -1.3 * sum(x * x for x in lam) - 0.2 * sum(x**4 for x in lam))
+        assert eigen_integrand(KineticSpectrum(3, (1.3,) * 3, 0.2), lam) == pytest.approx(
+            want, rel=1e-13, abs=0)
+        with pytest.raises(ValueError, match="distinct"):
+            eigen_integrand(KineticSpectrum(3, (1.3, 1.3, 1.9), 0.2), lam)
+
+    def test_det_form_tends_to_the_coincident_form(self):
+        # the det form's (-1)^b pi^b / N! and the exact form's U meet as the
+        # spectrum closes up; the gap is first order in its spread
+        lam = (0.3, -0.8, 1.1)
+        limit = eigen_integrand(KineticSpectrum(3, (1.3,) * 3, 0.2), lam)
+        near = eigen_integrand(KineticSpectrum(3, (1.3, 1.301, 1.302), 0.2), lam)
+        assert near == pytest.approx(limit, rel=5e-3, abs=0)
+
     def test_one_entry_per_eigenvalue(self):
         spec = KineticSpectrum(3, (1.0, 1.3, 1.9), 0.2)
         # a (5, 3) block is five points on the last axis, not three rows
@@ -514,6 +534,17 @@ class TestQuadratureOracle:
         value, err = z_quad_n2(spec)
         est, se = z_mc_eigen(spec, 400_000, seed=12)
         assert abs(value - est) <= 4 * math.hypot(se, err)
+
+    def test_coincident_free_theory(self):
+        spec = KineticSpectrum(2, (1.3, 1.3), 0.0)
+        value, _ = z_quad_n2(spec)
+        assert value == pytest.approx(z_free(spec).value, rel=1e-12, abs=0)
+
+    def test_coincident_against_matrix_rqmc(self):
+        spec = KineticSpectrum(2, (1.3, 1.3), 0.1)
+        value, err = z_quad_n2(spec)
+        [(est, se)] = rqmc_mean([partition.matrix_sampler(spec)], 1)
+        assert abs(value - est) <= 4 * se and err < 1e-12
 
     def test_needs_n2(self):
         with pytest.raises(ValueError):
