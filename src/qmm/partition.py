@@ -62,6 +62,11 @@ def _log_u(n: int) -> float:
     return (n * (n - 1) // 2) * math.log(math.pi) - sum(math.lgamma(m + 1) for m in range(n + 1))
 
 
+def _coupling_exponent(spec: KineticSpectrum) -> float:
+    """sum 3g/(4 e_m^2) of the weak-coupling forms; e_m^2 itself may underflow."""
+    return sum(0.75 * spec.g / em / em for em in spec.e)
+
+
 def z_free(spec: KineticSpectrum) -> LogValue:
     """Free partition function prod sqrt(pi/e_k) prod_{k<l} pi/(e_k+e_l)."""
     e = spec.e
@@ -88,7 +93,7 @@ def z_weak(spec: KineticSpectrum) -> LogValue | None:
     for em in e:
         ln += 0.5 * math.log(math.pi / em) + (1 - n) * math.log(em)
     ln += (n * (n - 1) // 2) * math.log(math.pi * n / (2.0 * inv_sum))
-    ln += -sum(3.0 * spec.g / (4.0 * em * em) for em in e)
+    ln -= _coupling_exponent(spec)
     return LogValue(ln)
 
 
@@ -107,7 +112,7 @@ def z_weak_expanded(spec: KineticSpectrum) -> LogValue | None:
     _, _, s2, s3, s4, s5, s6 = power_sums(eps, 6)
     ln = sum(0.5 * math.log(math.pi / em) for em in spec.e)
     ln += (n * (n - 1) // 2) * math.log(math.pi / (2.0 * xi))
-    ln += -sum(3.0 * spec.g / (4.0 * em * em) for em in spec.e)
+    ln -= _coupling_exponent(spec)
     ln += (n - 1) / 6.0 * s3 - (n - 1) / 4.0 * s4
     ln += 3.0 * (n - 1) / 10.0 * s5 - (n - 1) / 3.0 * s6
     ln += (n - 1) / (4.0 * n) * s2 * s2 - 0.5 * s2 * s3 + 0.5 * s2 * s4

@@ -309,6 +309,15 @@ class TestCli:
         assert exact > 0 and fact > 0
         assert float(exact / fact) == pytest.approx(payload["ratio"], rel=1e-12)
 
+    def test_partition_tiny_kinetic_eigenvalue(self, capsys):
+        # e_1^2 underflows to 0; the weak-coupling exponent 3g/(4 e_1^2) is
+        # 0 at g = 0 and its factor exp(-inf) = 0 at g > 0, printed as null
+        assert main(["partition", "--e", "1e-300,1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["log_z_weak"]) and math.isfinite(payload["log_z_free"])
+        assert main(["partition", "--e", "1e-300,1", "--g", "0.1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["log_z_weak"] is None
+
     @pytest.mark.parametrize("argv,message", [
         (["--e", "nan,1.0"], "kinetic eigenvalues must be positive"),
         (["--e", "inf,1.0"], "kinetic eigenvalues must be positive"),
