@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
@@ -659,7 +660,11 @@ def run_acceptance(cfg: RunConfig, suite: str | None = None) -> list[CheckResult
         for _ in range(min(len(numbers), _usable_cpus()) - 1):
             reader, writer = os.pipe()
             try:
-                pid = os.fork()
+                # a warning raised as an error here would lose a child that
+                # exists: recorded, and issued once the child is registered
+                with warnings.catch_warnings(record=True) as forked:
+                    warnings.simplefilter("always")
+                    pid = os.fork()
             except OSError:  # out of processes or memory: the workers started suffice
                 os.close(reader)
                 os.close(writer)
@@ -668,6 +673,8 @@ def run_acceptance(cfg: RunConfig, suite: str | None = None) -> list[CheckResult
                 _worker(claims, writer, cfg)
             os.close(writer)
             readers[pid] = reader
+            for w in forked:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
         done = _work(claims, cfg)
         for pid, reader in readers.items():
             with open(reader, "rb", closefd=False) as pipe:

@@ -10,6 +10,7 @@ import math
 import os
 import signal
 import time
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -308,3 +309,28 @@ def test_failed_fork_runs_on_the_workers_started(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = RunConfig()
     assert run_acceptance(cfg, "count") == [r for n in SUITES["count"] for r in CRITERIA[n](cfg)]
+
+
+def test_fork_warning_leaves_no_child(monkeypatch):
+    # os.fork warns in the parent of a multi-threaded process (Python >= 3.12);
+    # as an error it must not lose the child that exists by then
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("multi-threaded fork", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(acceptance, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with pytest.raises(DeprecationWarning, match="multi-threaded fork"):
+        run_acceptance(RunConfig(), "count")
+    assert_no_child_left()
+    # not as an error, the warning is shown once and the gate runs on
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        cfg = RunConfig()
+        assert run_acceptance(cfg, "count") == [r for n in SUITES["count"] for r in CRITERIA[n](cfg)]
+    assert [str(w.message) for w in shown] == ["multi-threaded fork"]
+    assert_no_child_left()
