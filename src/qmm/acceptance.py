@@ -212,11 +212,12 @@ def check_5(cfg: RunConfig) -> list[CheckResult]:
         checked += 1
     grid = (np.arange(20) + 0.5) / 20.0
     u = 1.0 - np.stack(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, -1)
-    b12 = (u[0] + u[1] - u[2]) / 2.0
-    b13 = (u[0] - u[1] + u[2]) / 2.0
-    b23 = (-u[0] + u[1] + u[2]) / 2.0
-    feasible = np.where(np.minimum(np.minimum(b12, b13), b23) >= 0.0, 1.0, 0.0)
-    ok_grid = np.array_equal(polytope._exact_volume_n3_rowsum(u), feasible)
+    # thin-slab limit of the N=4 volume: with u_4 = eps its minimum is eps when
+    # every N=3 slack s_j >= eps/2 and 0 when some s_j < -eps/2; here each s_j
+    # is an odd multiple of 1/80, so 2 V4 / eps^2 is exactly 1.0 or 0.0
+    eps = 2.0**-10
+    slab = 2.0 * polytope._exact_volume_n4_rowsum([*u, np.full(u.shape[1], eps)]) / (eps * eps)
+    ok_grid = np.array_equal(polytope._exact_volume_n3_rowsum(u), slab)
     return [
         CheckResult(5, "N=4 exact volume vs hit-and-miss MC (5 diagonals, 3 sigma)",
                     "exact N=4 subpolytope volume formula", ok_all,

@@ -118,6 +118,20 @@ def test_grid_clause_fails_without_one_feasibility_test(monkeypatch, j):
     assert not clause.passed and not clause.known_issue, clause.detail
 
 
+def test_grid_clause_fails_on_an_n4_minimum_without_s_1(monkeypatch):
+    # the N=4 closed form with s_1 dropped from its minimum, as its thin-slab
+    # limit meets it: it admits points with s_1 < 0
+    def mutant(u):
+        u = np.asarray(u, dtype=float)
+        s = u.sum(axis=0) / 2.0 - u
+        m = np.maximum(np.concatenate([u, s[1:]]).min(axis=0), 0.0)
+        return 0.5 * m * m
+
+    monkeypatch.setattr(polytope, "_exact_volume_n4_rowsum", mutant)
+    clause = next(r for r in check_5(RunConfig()) if "N=3" in r.clause)
+    assert not clause.passed and not clause.known_issue, clause.detail
+
+
 def test_n4_clause_fails_on_a_scaled_volume(monkeypatch):
     exact = polytope.exact_volume_n4
     monkeypatch.setattr(polytope, "exact_volume_n4", lambda spec: 1.05 * exact(spec))
