@@ -14,7 +14,7 @@ from qmm import acceptance, detkit
 from qmm.cli import COMMANDS, main
 from qmm.counting import DEFAULT_STATE_CAP
 from qmm.config import RunConfig, load_config
-from qmm.orthopoly import QuasiDefiniteError
+from qmm.orthopoly import QuasiDefiniteError, u_coefficients
 from qmm.polytope import DiagonalSpec, mc_volume_peel
 
 
@@ -308,6 +308,19 @@ class TestCli:
         exact, fact = mp.mpf(payload["exact"]), mp.mpf(payload["factored"])
         assert exact > 0 and fact > 0
         assert float(exact / fact) == pytest.approx(payload["ratio"], rel=1e-12)
+
+    def test_orthopoly_u_table(self, capsys):
+        assert main(["orthopoly", "--n", "4", "--u", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        umat = u_coefficients(4)
+        assert {key: value for key, value in payload.items() if key.startswith("U_")} == {
+            f"U_{m}_{k}": umat[m, k] for m in range(5) for k in range(m + 1)}
+
+    @pytest.mark.parametrize("kind,det", [("beta", detkit.beta_det),
+                                          ("shifted-factorial", detkit.shifted_factorial_det)])
+    def test_exact_det_kinds(self, capsys, kind, det):
+        assert main(["det", "--kind", kind, "--n", "5", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": 5, "det": str(det(5))}
 
     def test_partition_tiny_kinetic_eigenvalue(self, capsys):
         # e_1^2 underflows to 0; the weak-coupling exponent 3g/(4 e_1^2) is
