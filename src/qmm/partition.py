@@ -157,8 +157,8 @@ def eigen_integrand(spec: KineticSpectrum, cols):
     n = spec.n
     if len(cols) != n:
         raise ValueError("need one eigenvalue per index")
+    sq = [c * c for c in cols]
     if len(set(spec.e)) == 1:
-        sq = [c * c for c in cols]
         vdm = vandermonde_det(cols)
         return vdm * vdm * np.exp(_log_u(n) - spec.e[0] * sum(sq) - spec.g * sum(s * s for s in sq))
     de = vandermonde_det(spec.e)
@@ -167,7 +167,6 @@ def eigen_integrand(spec: KineticSpectrum, cols):
     # the constant (-1)^b pi^b / N! joins the scalar divisor
     de *= math.factorial(n) / (-math.pi) ** (n * (n - 1) // 2)
     tol = _COLLISION_RTOL * reduce(np.maximum, map(np.abs, cols), 1.0)
-    sq = [c * c for c in cols]
     # the kernel transposed, one row per eigenvalue: row l is exp(-e_k lam_l^2)
     mat = [[np.exp(-ek * s) for ek in spec.e] for s in sq]
     denom = 1.0
